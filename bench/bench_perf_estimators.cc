@@ -6,6 +6,9 @@
 // sample implementation realizes the latter; Algorithm 1 is the Θ(n)
 // literal transcription. Histograms cost O(log k + bins touched).
 //
+// BM_PsiFunctional times the O(n²) ψ̂ pair sum behind the h-DPI rules on
+// each SIMD tier against the per-pair loop it replaced.
+//
 // BM_Fig12SweepWallClock tracks the parallel trajectory: its JSON output
 // (--benchmark_format=json) carries `threads`, `speedup_vs_serial`, and
 // `mre_bit_identical` counters so successive BENCH_*.json files record how
@@ -15,11 +18,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
+#include <numbers>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,9 +38,11 @@
 #include "src/est/sampling_estimator.h"
 #include "src/eval/paper_data.h"
 #include "src/eval/parallel_experiment.h"
+#include "src/smoothing/direct_plug_in.h"
 #include "src/smoothing/normal_scale.h"
 #include "src/util/random.h"
 #include "src/util/simd.h"
+#include "src/util/stats.h"
 
 namespace selest {
 namespace {
@@ -367,6 +375,165 @@ void BM_BatchHybrid(benchmark::State& state) {
   BatchTierSpeedup(state, *est, kBatchQueries);
 }
 BENCHMARK(BM_BatchHybrid)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+
+// --- The ψ̂ pair sum behind h-DPI (DESIGN.md §2, §12) ---
+//
+// One iteration makes every ψ̂ call of the h-DPI2 kernel bandwidth on the
+// eight headline samples (2,000 records each, Fig. 12 protocol): s = 6,
+// then s = 4, at the ladder's pilot bandwidths, on the row's tier.
+// `speedup_vs_scalar` and `speedup_vs_prepr` divide the time of the same
+// calls on the scalar tier and in a replica of the per-pair std::exp loop
+// the kernel replaced (each the fastest of three passes, taken once), and
+// `bit_identical` re-asserts that the tier returns the scalar tier's bits.
+
+struct PsiCall {
+  const std::vector<double>* sample = nullptr;
+  int s = 0;
+  double g = 0.0;
+};
+
+const std::vector<PsiCall>& GetPsiCalls() {
+  static const std::vector<PsiCall>* calls = [] {
+    auto* samples = new std::vector<std::vector<double>>();
+    for (const std::string& name : HeadlineFileNames()) {
+      auto data = MakePaperDataset(name);
+      if (!data.ok()) {
+        std::fprintf(stderr, "loading %s failed: %s\n", name.c_str(),
+                     data.status().ToString().c_str());
+        std::exit(1);
+      }
+      ProtocolConfig protocol;
+      protocol.seed = 17;
+      samples->push_back(MakeSetup(*data, protocol).sample);
+    }
+    auto* out = new std::vector<PsiCall>();
+    for (const std::vector<double>& sample : *samples) {
+      // DirectPlugInBandwidth's stage ladder, stages = 2.
+      double psi_next = NormalScalePsi(8, NormalScaleSigma(sample));
+      for (int s : {6, 4}) {
+        const double phi0 = kPsiHermite[s / 2 - 1][s / 2 - 1] /
+                            std::sqrt(2.0 * std::numbers::pi);
+        const double g = std::pow(
+            -2.0 * phi0 / (psi_next * static_cast<double>(sample.size())),
+            1.0 / (s + 3.0));
+        out->push_back({&sample, s, g});
+        psi_next = EstimatePsiFunctional(sample, s, g);
+      }
+    }
+    return out;
+  }();
+  return *calls;
+}
+
+// EstimatePsiFunctional before the pair-sum kernel: two divides, one
+// std::exp and one switch per pair, into one running sum.
+double SeedLoopPsi(std::span<const double> x, int s, double g) {
+  constexpr double kSqrt2Pi = 2.506628274631000502;
+  const auto derivative = [s](double z) {
+    const double phi = std::exp(-0.5 * z * z) / kSqrt2Pi;
+    const double z2 = z * z;
+    switch (s) {
+      case 2:
+        return (z2 - 1.0) * phi;
+      case 4:
+        return (z2 * z2 - 6.0 * z2 + 3.0) * phi;
+      case 6:
+        return (z2 * z2 * z2 - 15.0 * z2 * z2 + 45.0 * z2 - 15.0) * phi;
+      default:
+        return (z2 * z2 * z2 * z2 - 28.0 * z2 * z2 * z2 + 210.0 * z2 * z2 -
+                420.0 * z2 + 105.0) *
+               phi;
+    }
+  };
+  const size_t n = x.size();
+  double sum = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    sum += derivative(0.0);
+    for (size_t j = i + 1; j < n; ++j) {
+      sum += 2.0 * derivative((x[i] - x[j]) / g);
+    }
+  }
+  return sum / (static_cast<double>(n) * static_cast<double>(n) *
+                std::pow(g, s + 1.0));
+}
+
+// Seconds to make every call, results into `out`; the tier only matters
+// when `seed_loop` is false.
+double TimePsiCalls(SimdTier tier, bool seed_loop, std::vector<double>& out) {
+  const std::vector<PsiCall>& calls = GetPsiCalls();
+  const ScopedSimdTier scoped(tier);
+  const auto start = std::chrono::steady_clock::now();
+  for (size_t c = 0; c < calls.size(); ++c) {
+    const PsiCall& call = calls[c];
+    out[c] = seed_loop ? SeedLoopPsi(*call.sample, call.s, call.g)
+                       : EstimatePsiFunctional(*call.sample, call.s, call.g);
+  }
+  benchmark::DoNotOptimize(out.data());
+  benchmark::ClobberMemory();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+// The scalar-tier and seed-loop references: results, and the fastest of
+// three timed passes each.
+struct PsiBaseline {
+  std::vector<double> scalar_out;
+  double scalar_seconds = 0.0;
+  double seed_seconds = 0.0;
+};
+
+const PsiBaseline& GetPsiBaseline() {
+  static const PsiBaseline* baseline = [] {
+    auto* out = new PsiBaseline();
+    const size_t num_calls = GetPsiCalls().size();
+    out->scalar_out.resize(num_calls);
+    std::vector<double> seed_out(num_calls);
+    out->scalar_seconds = out->seed_seconds = 1e300;
+    for (int pass = 0; pass < 3; ++pass) {
+      out->scalar_seconds =
+          std::min(out->scalar_seconds,
+                   TimePsiCalls(SimdTier::kScalar, false, out->scalar_out));
+      out->seed_seconds = std::min(
+          out->seed_seconds, TimePsiCalls(SimdTier::kScalar, true, seed_out));
+    }
+    return out;
+  }();
+  return *baseline;
+}
+
+void BM_PsiFunctional(benchmark::State& state) {
+  const auto tier = static_cast<SimdTier>(state.range(0));
+  if (!SimdTierSupported(tier)) {
+    state.SkipWithError("simd tier not supported on this host");
+    return;
+  }
+  const PsiBaseline& baseline = GetPsiBaseline();
+  std::vector<double> out(baseline.scalar_out.size());
+  double seconds = 0.0;
+  bool identical = true;
+  for (auto _ : state) {
+    seconds += TimePsiCalls(tier, false, out);
+    // Exact comparison: the SIMD contract is bit-identity.
+    if (out != baseline.scalar_out) identical = false;
+  }
+  if (!identical) {
+    state.SkipWithError("vector tier diverged from the scalar reference");
+  }
+  const double per_iteration =
+      seconds / static_cast<double>(state.iterations());
+  state.counters["bit_identical"] = identical ? 1.0 : 0.0;
+  state.counters["speedup_vs_scalar"] =
+      per_iteration > 0.0 ? baseline.scalar_seconds / per_iteration : 0.0;
+  state.counters["speedup_vs_prepr"] =
+      per_iteration > 0.0 ? baseline.seed_seconds / per_iteration : 0.0;
+}
+BENCHMARK(BM_PsiFunctional)
+    ->ArgName("tier")
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 // --- The Fig. 12 sweep across thread counts ---
 //

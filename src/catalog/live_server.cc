@@ -491,8 +491,19 @@ Status LiveStatisticsServer::MaybeTriggerRefresh(
   ThreadPool* pool =
       options_.pool != nullptr ? options_.pool : &ThreadPool::Default();
   pool->Schedule([this, column]() {
-    (void)DoRefresh(column);
+    const Status status = DoRefresh(column);
     column->refresh_in_flight.store(false);
+    // Threshold triggers that arrived mid-refresh coalesced into this
+    // refresh, which published only the rows it captured: re-check the
+    // backlog and schedule the follow-up before pending_refreshes_ drops,
+    // so WaitForRefreshes covers it. Not after a failure, so a failing
+    // column cannot spin; its next ingest or the TTL retries.
+    const uint64_t backlog =
+        column->rows_since_refresh.load(std::memory_order_relaxed);
+    if (status.ok() && options_.refresh_ingest_rows > 0 &&
+        backlog >= options_.refresh_ingest_rows) {
+      (void)MaybeTriggerRefresh(column, &column->threshold_refreshes);
+    }
     std::lock_guard<std::mutex> lock(refresh_mutex_);
     --pending_refreshes_;
     refresh_cv_.notify_all();

@@ -84,7 +84,9 @@ struct LiveServerOptions {
   // rows have been folded since the served build (0 disables), or when the
   // serving generation is older than `ttl_ticks` by `clock` (0 disables;
   // checked on ingest and serve). At most one refresh per column runs at a
-  // time; triggers during a running refresh coalesce into it.
+  // time; triggers during a running refresh coalesce into it, and a
+  // background refresh that succeeds re-checks the volume threshold, so
+  // rows ingested while it ran are published without further ingest.
   size_t refresh_ingest_rows = 0;
   uint64_t ttl_ticks = 0;
   // Monotonic tick source; defaults to steady_clock nanoseconds. Tests

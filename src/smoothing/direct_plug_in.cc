@@ -1,10 +1,13 @@
 #include "src/smoothing/direct_plug_in.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include "src/smoothing/normal_scale.h"
 #include "src/util/check.h"
+#include "src/util/simd.h"
 #include "src/util/stats.h"
 
 namespace selest {
@@ -12,29 +15,61 @@ namespace {
 
 constexpr double kSqrt2Pi = 2.506628274631000502;
 
-// phi^(s)(z) = He_s(z) · phi(z) up to sign; for even s the Hermite
-// polynomial form below already carries the correct sign of the derivative.
-double GaussianDerivative(int s, double z) {
-  const double phi = std::exp(-0.5 * z * z) / kSqrt2Pi;
-  const double z2 = z * z;
-  switch (s) {
-    case 2:
-      return (z2 - 1.0) * phi;
-    case 4:
-      return (z2 * z2 - 6.0 * z2 + 3.0) * phi;
-    case 6:
-      return (z2 * z2 * z2 - 15.0 * z2 * z2 + 45.0 * z2 - 15.0) * phi;
-    case 8:
-      return (z2 * z2 * z2 * z2 - 28.0 * z2 * z2 * z2 + 210.0 * z2 * z2 -
-              420.0 * z2 + 105.0) *
-             phi;
-    default:
-      SELEST_CHECK(false);
-  }
-  return 0.0;
+// P_s(0), the last Horner coefficient.
+double HermiteAtZero(int s) { return kPsiHermite[s / 2 - 1][s / 2 - 1]; }
+
+// phi^(s)(0) = P_s(0) · phi(0); the even-s Hermite form carries the sign
+// of the derivative.
+double GaussianDerivativeAtZero(int s) {
+  return HermiteAtZero(s) * (1.0 / kSqrt2Pi);
 }
 
-double GaussianDerivativeAtZero(int s) { return GaussianDerivative(s, 0.0); }
+// The pair sum's exp (contract in util/simd.h), inline in the pair loop;
+// ExpNonPositive exports it.
+inline double ExpReference(double t) {
+  const double shifted = t * kExpLog2e + kExpShifter;
+  const double k = shifted - kExpShifter;
+  const double r = (t - k * kExpLn2Hi) - k * kExpLn2Lo;
+  const double* q = kExpTaylor;
+  const double r2 = r * r;
+  const double r4 = r2 * r2;
+  const double b0 = (q[0] + q[1] * r) + (q[2] + q[3] * r) * r2;
+  const double b1 = (q[4] + q[5] * r) + (q[6] + q[7] * r) * r2;
+  const double b2 = (q[8] + q[9] * r) + (q[10] + q[11] * r) * r2;
+  const double tail = (b0 + b1 * r4) + b2 * (r4 * r4);
+  const double p = 1.0 + (r + r2 * tail);
+  // The shifter's low mantissa bits hold k; unsigned arithmetic keeps the
+  // discarded below-floor results free of overflow.
+  const uint64_t scale = (std::bit_cast<uint64_t>(shifted) + 1023) << 52;
+  return t < kExpFloor ? 0.0 : p * std::bit_cast<double>(scale);
+}
+
+template <int kDegree>
+double PairTerm(double xi, double xj, double inv_g) {
+  const double* c = kPsiHermite[kDegree - 1];
+  const double z = (xi - xj) * inv_g;
+  const double u = z * z;
+  double p = u + c[0];
+  for (int k = 1; k < kDegree; ++k) p = p * u + c[k];
+  return p * ExpReference(-0.5 * u);
+}
+
+// The scalar reference of the pair sum (contract in util/simd.h): every
+// vector tier's psi_pair_sums replays it lane for lane.
+template <int kDegree>
+void PsiPairSums(std::span<const double> x, double inv_g,
+                 double lanes[kPsiLanes]) {
+  const size_t n = x.size();
+  for (size_t i = 0; i + 1 < n; ++i) {
+    for (size_t l = 0; l < kPsiLanes; ++l) {
+      double sum = lanes[l];
+      for (size_t j = i + 1 + l; j < n; j += kPsiLanes) {
+        sum += PairTerm<kDegree>(x[i], x[j], inv_g);
+      }
+      lanes[l] = sum;
+    }
+  }
+}
 
 double Factorial(int k) {
   double result = 1.0;
@@ -53,19 +88,39 @@ double PilotBandwidth(int s, double psi_next, size_t n) {
 
 }  // namespace
 
+double ExpNonPositive(double t) { return ExpReference(t); }
+
 double EstimatePsiFunctional(std::span<const double> sample, int s, double g) {
   SELEST_CHECK(s == 2 || s == 4 || s == 6 || s == 8);
   SELEST_CHECK_GT(g, 0.0);
   SELEST_CHECK(!sample.empty());
   const size_t n = sample.size();
-  double sum = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    // Diagonal term (i == j) once, off-diagonal pairs twice via symmetry.
-    sum += GaussianDerivativeAtZero(s);
-    for (size_t j = i + 1; j < n; ++j) {
-      sum += 2.0 * GaussianDerivative(s, (sample[i] - sample[j]) / g);
+  const double inv_g = 1.0 / g;
+  double lanes[kPsiLanes] = {};
+  if (const SimdOps* ops = ActiveSimdOps()) {
+    ops->psi_pair_sums(sample.data(), static_cast<int64_t>(n), inv_g, s,
+                       lanes);
+  } else {
+    switch (s) {
+      case 2:
+        PsiPairSums<1>(sample, inv_g, lanes);
+        break;
+      case 4:
+        PsiPairSums<2>(sample, inv_g, lanes);
+        break;
+      case 6:
+        PsiPairSums<3>(sample, inv_g, lanes);
+        break;
+      default:
+        PsiPairSums<4>(sample, inv_g, lanes);
+        break;
     }
   }
+  const double pairs = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+                       ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+  // Diagonal terms (i == j) once, off-diagonal pairs twice via symmetry.
+  const double sum =
+      (static_cast<double>(n) * HermiteAtZero(s) + 2.0 * pairs) / kSqrt2Pi;
   const double scale = std::pow(g, s + 1.0);
   return sum / (static_cast<double>(n) * static_cast<double>(n) * scale);
 }

@@ -24,8 +24,15 @@
 namespace selest {
 
 // Estimates ψ_s = ∫ f^(s)(x) f(x) dx with a Gaussian kernel of bandwidth g.
-// `s` must be even and in {2, 4, 6, 8}. Exposed for tests. O(n²).
+// `s` must be even and in {2, 4, 6, 8}. Exposed for tests. O(n²): the pair
+// sum runs on the active SIMD tier, bit-identical on every tier (the
+// kernel contract is in util/simd.h, DESIGN.md §2 and §12).
 double EstimatePsiFunctional(std::span<const double> sample, int s, double g);
+
+// The pair sum's exp(t) for t ≤ 0: within 2 ULP of expl on
+// [kExpFloor, 0] and exactly 0 below kExpFloor (util/simd.h). Exposed for
+// tests.
+double ExpNonPositive(double t);
 
 // The Gaussian (normal-scale) reference value of ψ_s for scale sigma.
 double NormalScalePsi(int s, double sigma);

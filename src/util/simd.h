@@ -147,6 +147,46 @@ struct KernelBlockArgs {
   double right_hi = 0.0;
 };
 
+// The ψ̂ pair-sum kernel behind the direct plug-in rule (DESIGN.md §2).
+// The scalar reference (EstimatePsiFunctional in smoothing/
+// direct_plug_in.cc) and every tier's psi_pair_sums evaluate the same
+// operations in the same order from these constants, so ψ̂ — and with it
+// every h-DPI bandwidth, bin count and snapshot — never depends on the
+// host's tier. Pair (i, j), i < j, adds P_s(u)·e(−u/2) with
+// u = ((x_i − x_j)·(1/g))² to partial sum (j − i − 1) mod kPsiLanes; the
+// partial sums run across all rows.
+inline constexpr int kPsiLanes = 8;
+
+// P_s(u) = He_s(z) for u = z², by Horner from the monic leading term:
+// P = u + c[0], then P = P·u + c[k] for k = 1 .. s/2 − 1, c = row s/2 − 1.
+inline constexpr double kPsiHermite[4][4] = {
+    {-1.0},
+    {-6.0, 3.0},
+    {-15.0, 45.0, -15.0},
+    {-28.0, 210.0, -420.0, 105.0},
+};
+
+// e(t) = exp(t) for t ≤ 0 from IEEE basic operations only. Exactly 0 for
+// t < kExpFloor (exp(−708) ≈ 3.3e−308 is still normal, so no subnormal
+// scaling is ever needed). Above it: k = round(t·log₂e) by the shifter
+// trick; Cody–Waite reduction r = (t − k·ln2_hi) − k·ln2_lo with ln 2
+// split so that k·ln2_hi is exact (21 trailing zero bits); e^r =
+// 1 + (r + r²·Q(r)) with Q the degree-11 tail of the Taylor series
+// (|r| ≤ ln2/2, truncation < 1e−17), evaluated by Estrin's scheme
+//   Q = (b0 + b1·r⁴) + b2·r⁸,  b_m = (q_4m + q_4m+1·r) + (q_4m+2 + q_4m+3·r)·r²
+// (q_i = kExpTaylor[i]); and the product with 2^k built from exponent bits.
+inline constexpr double kExpFloor = -708.0;
+inline constexpr double kExpLog2e = 0x1.71547652b82fep0;
+inline constexpr double kExpShifter = 0x1.8p52;
+inline constexpr double kExpLn2Hi = 0x1.62e42feep-1;
+inline constexpr double kExpLn2Lo = 0x1.a39ef35793c76p-33;
+inline constexpr double kExpTaylor[12] = {
+    1.0 / 2.0,        1.0 / 6.0,         1.0 / 24.0,
+    1.0 / 120.0,      1.0 / 720.0,       1.0 / 5040.0,
+    1.0 / 40320.0,    1.0 / 362880.0,    1.0 / 3628800.0,
+    1.0 / 39916800.0, 1.0 / 479001600.0, 1.0 / 6227020800.0,
+};
+
 // One table per vector tier. Every function processes exactly `width`
 // queries (a/b/out are width-long, kSimdAlign-aligned); callers pad the
 // final partial block by replicating its last query — lanes are
@@ -173,6 +213,12 @@ struct SimdOps {
   // the blend trick needs every lane on the same scalar control path.
   int (*kernel_block)(const KernelBlockArgs& args, const double* a,
                       const double* b, double* out);
+
+  // The kPsiLanes partial sums of the ψ̂ pair sum over x[0, n) for
+  // s ∈ {2, 4, 6, 8} (contract above); x needs no alignment. Unlike the
+  // per-query blocks, one call covers the whole sample.
+  void (*psi_pair_sums)(const double* x, int64_t n, double inv_g, int s,
+                        double* lanes);
 };
 
 // ---------------------------------------------------------------------------

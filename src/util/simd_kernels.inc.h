@@ -460,6 +460,94 @@ int KernelBlock(const KernelBlockArgs& args, const double* a, const double* b,
   return 1;
 }
 
+// ---------------------------------------------------------------------------
+// psi_pair_sums: EstimatePsiFunctional's pair sum (contract in util/simd.h).
+// kPsiLanes / kW vectors hold the partial sums: lane l of vector v is
+// partial sum v·kW + l, at either width.
+// ---------------------------------------------------------------------------
+
+typedef uint64_t VecU __attribute__((vector_size(kW * 8)));
+
+// ExpNonPositive, lane for lane. This and PsiPairTermV are forced inline;
+// GCC otherwise emits them out of line, one call per block of pairs.
+__attribute__((always_inline)) inline VecD ExpNonPositiveV(VecD t) {
+  const VecD shifted = t * BroadcastD(kExpLog2e) + BroadcastD(kExpShifter);
+  const VecD k = shifted - BroadcastD(kExpShifter);
+  const VecD r =
+      (t - k * BroadcastD(kExpLn2Hi)) - k * BroadcastD(kExpLn2Lo);
+  const double* q = kExpTaylor;
+  const VecD r2 = r * r;
+  const VecD r4 = r2 * r2;
+  const VecD b0 = (q[0] + q[1] * r) + (q[2] + q[3] * r) * r2;
+  const VecD b1 = (q[4] + q[5] * r) + (q[6] + q[7] * r) * r2;
+  const VecD b2 = (q[8] + q[9] * r) + (q[10] + q[11] * r) * r2;
+  const VecD tail = (b0 + b1 * r4) + b2 * (r4 * r4);
+  const VecD p = 1.0 + (r + r2 * tail);
+  const VecU scale = ((VecU)shifted + 1023) << 52;
+  const VecD zero = {};
+  return t < BroadcastD(kExpFloor) ? zero : p * (VecD)scale;
+}
+
+template <int kDegree>
+__attribute__((always_inline)) inline VecD PsiPairTermV(VecD xi, VecD xj,
+                                                        VecD inv_g) {
+  const double* c = kPsiHermite[kDegree - 1];
+  const VecD z = (xi - xj) * inv_g;
+  const VecD u = z * z;
+  VecD p = u + BroadcastD(c[0]);
+  for (int k = 1; k < kDegree; ++k) p = p * u + BroadcastD(c[k]);
+  return p * ExpNonPositiveV(BroadcastD(-0.5) * u);
+}
+
+template <int kDegree>
+void PsiPairSumsT(const double* x, int64_t n, double inv_g, double* lanes) {
+  constexpr int kVecs = kPsiLanes / kW;
+  const VecD ig = BroadcastD(inv_g);
+  const VecD zero = {};
+  VecD acc[kVecs] = {};
+  for (int64_t i = 0; i + 1 < n; ++i) {
+    const VecD xi = BroadcastD(x[i]);
+    int64_t j = i + 1;
+    for (; j + kPsiLanes <= n; j += kPsiLanes) {
+      for (int v = 0; v < kVecs; ++v) {
+        acc[v] += PsiPairTermV<kDegree>(xi, LoadD(x + j + v * kW), ig);
+      }
+    }
+    if (j == n) continue;
+    // Row tail: pad a full block with x_i and discard the padded lanes.
+    // Adding +0.0 leaves a partial sum unchanged: the sums start at +0.0
+    // and so are never −0.0.
+    const int64_t rest = n - j;
+    double block[kPsiLanes];
+    for (int l = 0; l < kPsiLanes; ++l) block[l] = l < rest ? x[j + l] : x[i];
+    for (int v = 0; v < kVecs; ++v) {
+      VecI lane = {};
+      for (int l = 0; l < kW; ++l) lane[l] = v * kW + l;
+      const VecD term = PsiPairTermV<kDegree>(xi, LoadD(block + v * kW), ig);
+      acc[v] += lane < BroadcastI(rest) ? term : zero;
+    }
+  }
+  for (int v = 0; v < kVecs; ++v) StoreD(lanes + v * kW, acc[v]);
+}
+
+void PsiPairSums(const double* x, int64_t n, double inv_g, int s,
+                 double* lanes) {
+  switch (s) {
+    case 2:
+      PsiPairSumsT<1>(x, n, inv_g, lanes);
+      break;
+    case 4:
+      PsiPairSumsT<2>(x, n, inv_g, lanes);
+      break;
+    case 6:
+      PsiPairSumsT<3>(x, n, inv_g, lanes);
+      break;
+    default:
+      PsiPairSumsT<4>(x, n, inv_g, lanes);
+      break;
+  }
+}
+
 }  // namespace
 
 const SimdOps* GetOps() {
@@ -468,6 +556,7 @@ const SimdOps* GetOps() {
       /*histogram_block=*/&HistogramBlock,
       /*sorted_count_block=*/&SortedCountBlock,
       /*kernel_block=*/&KernelBlock,
+      /*psi_pair_sums=*/&PsiPairSums,
   };
   return &ops;
 }

@@ -3,9 +3,12 @@
 // merge and rebuild paths, the ingest-volume and TTL staleness policies,
 // snapshot write-back, file ingest, the online serve path, and the
 // RunConfigsLive sweep equivalences.
+#include <condition_variable>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -17,6 +20,7 @@
 #include "src/data/dataset.h"
 #include "src/data/io.h"
 #include "src/eval/parallel_experiment.h"
+#include "src/exec/thread_pool.h"
 #include "src/query/workload.h"
 #include "src/util/random.h"
 
@@ -202,6 +206,67 @@ TEST(LiveServerTest, IngestVolumePolicyTriggersInlineRefresh) {
   ASSERT_EQ(history.value().size(), 2u);
   EXPECT_EQ(history.value()[0]->number, 1u);
   EXPECT_EQ(history.value()[1]->number, 2u);
+}
+
+// Liveness of refresh coalescing: a threshold crossed while a background
+// refresh is in flight coalesces into it, but that refresh publishes only
+// the rows it captured. The backlog must still be published once it ends,
+// with no further ingest to trigger it.
+TEST(LiveServerTest, ThresholdCrossedMidRefreshIsPublishedAfterIt) {
+  // The refresh reads the clock after its capture (built_at_ticks); the
+  // injected clock parks any caller but this thread until released.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool refresh_parked = false;
+  bool released = false;
+  const std::thread::id test_thread = std::this_thread::get_id();
+  ThreadPool pool(1);
+  LiveServerOptions options;
+  options.background_refresh = true;
+  options.pool = &pool;
+  options.refresh_ingest_rows = 100;
+  options.clock = [&]() -> uint64_t {
+    if (std::this_thread::get_id() != test_thread) {
+      std::unique_lock<std::mutex> lock(mu);
+      refresh_parked = true;
+      cv.notify_all();
+      cv.wait(lock, [&]() { return released; });
+    }
+    return 0;
+  };
+  LiveStatisticsServer server(std::move(options));
+  ASSERT_TRUE(server
+                  .RegisterColumn("t", "x", kDomain,
+                                  ConfigWithBins(EstimatorKind::kEquiWidth, 16),
+                                  MakeRows(200, 31))
+                  .ok());
+
+  // 120 rows cross the threshold: the refresh captures them, then parks.
+  ASSERT_TRUE(server.Ingest("t", "x", MakeRows(120, 32)).ok());
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&]() { return refresh_parked; });
+  }
+  // 150 more cross it again mid-refresh: coalesced into the parked one.
+  // EXPECT, not ASSERT: returning early would leave the refresh parked
+  // and the server's destructor waiting on it.
+  EXPECT_TRUE(server.Ingest("t", "x", MakeRows(150, 33)).ok());
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  server.WaitForRefreshes();
+
+  auto generation = server.CurrentGeneration("t", "x");
+  ASSERT_TRUE(generation.ok());
+  EXPECT_EQ(generation.value()->rows_at_build, 200u + 120u + 150u);
+  auto stats = server.ColumnStats("t", "x");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().generation, 3u);
+  EXPECT_EQ(stats.value().rows_since_refresh, 0u);
+  EXPECT_EQ(stats.value().threshold_refreshes, 2u);
+  EXPECT_EQ(stats.value().refresh_errors, 0u);
 }
 
 TEST(LiveServerTest, TtlPolicyRefreshesOnServe) {

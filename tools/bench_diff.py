@@ -12,7 +12,9 @@ For every benchmark present in both files it reports the per-iteration
 time ratio new/old, and exits non-zero when any benchmark slowed down by
 more than the threshold (default 10%, override with --threshold-pct).
 Benchmarks present in only one file are listed but never fail the diff —
-a new benchmark is not a regression.
+a new benchmark is not a regression. Two files that both hold benchmarks
+but share none do fail: nothing was compared, so the pair is almost
+certainly wrong (two different benches, or every benchmark renamed).
 
 Counters are compared informationally (speedup_vs_scalar and friends);
 `bit_identical` dropping from 1 to 0 in the new file is treated as a
@@ -170,7 +172,15 @@ def main():
                 file=sys.stderr,
             )
     if not shared:
-        print("warning: no benchmarks in common", file=sys.stderr)
+        if old and new:
+            ok = False
+            print(
+                "\nFAIL: both files hold benchmarks but share none; "
+                "nothing was compared",
+                file=sys.stderr,
+            )
+        else:
+            print("warning: no benchmarks in common", file=sys.stderr)
     return 0 if ok else 1
 
 
