@@ -26,8 +26,7 @@ struct LiveStatisticsServer::Column {
         config(column_config),
         key(std::move(column_key)),
         reservoir(options.reservoir_capacity, options.reservoir_decay,
-                  options.seed ^ column_key.fingerprint),
-        online(column_domain) {}
+                  options.seed ^ column_key.fingerprint) {}
 
   const std::string relation;
   const std::string attribute;
@@ -45,7 +44,6 @@ struct LiveStatisticsServer::Column {
   // reservoir).
   std::unique_ptr<SelectivityEstimator> accumulator;
   DecayingReservoir reservoir;
-  OnlineSelectivityEstimator online;
   uint64_t total_rows = 0;  // registration rows + accepted ingest rows
   // Durable ingest log; null when LiveServerOptions::wal_directory is
   // empty. Guarded by ingest_mutex like the rest of the ingest side.
@@ -166,7 +164,6 @@ Status LiveStatisticsServer::RegisterColumn(const std::string& relation,
     SELEST_RETURN_IF_ERROR(column->wal->Sync());
   }
   column->reservoir.AddBatch(initial_rows);
-  column->online.AddSamples(initial_rows);
   column->total_rows = initial_rows.size();
 
   auto generation = std::make_shared<LiveGeneration>();
@@ -214,10 +211,8 @@ Status LiveStatisticsServer::RecoverColumn(const std::string& relation,
   // seeded reservoir reproduces the pre-crash reservoir bit-for-bit, so
   // non-mergeable rebuilds land on the same estimator too.
   column->reservoir.AddBatch(recovered.registration_rows);
-  column->online.AddSamples(recovered.registration_rows);
   for (const std::vector<double>& batch : recovered.ingest_batches) {
     column->reservoir.AddBatch(batch);
-    column->online.AddSamples(batch);
   }
   column->total_rows = recovered.total_rows;
 
@@ -345,7 +340,6 @@ Status LiveStatisticsServer::Ingest(const std::string& relation,
       SELEST_RETURN_IF_ERROR(column->accumulator->FoldRows(clamped));
     }
     column->reservoir.AddBatch(clamped);
-    column->online.AddSamples(clamped);
     column->total_rows += clamped.size();
     column->ingested_rows.fetch_add(clamped.size(),
                                     std::memory_order_relaxed);
@@ -410,18 +404,6 @@ StatusOr<ServedEstimate> LiveStatisticsServer::EstimateDetailed(
   column->serves.fetch_add(1, std::memory_order_relaxed);
   CheckStaleness(column);
   return served;
-}
-
-StatusOr<IntervalEstimate> LiveStatisticsServer::OnlineEstimate(
-    const std::string& relation, const std::string& attribute,
-    const RangeQuery& query) {
-  const std::shared_ptr<Column> column = FindColumn(relation, attribute);
-  if (column == nullptr) {
-    return NotFoundError("no live registration for " + relation + "." +
-                         attribute);
-  }
-  std::lock_guard<std::mutex> lock(column->ingest_mutex);
-  return column->online.Estimate(query);
 }
 
 void LiveStatisticsServer::NoteWalResult(

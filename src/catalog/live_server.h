@@ -1,9 +1,9 @@
 // The live statistics server: concurrent serving + incremental ingest.
 //
 // The serving Catalog (statistics_catalog.h) is build-once/serve-many over
-// a fixed sample; this layer is the ROADMAP's "millions of users" piece —
-// rows keep arriving after the build and estimates must stay fresh without
-// readers ever blocking on a rebuild. Per column it maintains
+// a fixed sample; in this layer rows keep arriving after the build and
+// estimates must stay fresh without readers ever blocking on a rebuild.
+// Per column it maintains
 //
 //   * a served *generation*: an immutable estimator published through an
 //     atomic shared_ptr. Readers load the pointer, answer from that
@@ -11,10 +11,10 @@
 //     generation stays alive as long as any reader holds it);
 //   * an ingest-side accumulator, private to the server and guarded by an
 //     ingest mutex: a mergeable clone of the estimator that new rows fold
-//     into without a full rebuild (MergeFrom/FoldRows, est/), a decaying
-//     reservoir (sample/sampler.h) feeding full rebuilds of non-mergeable
-//     estimators, and a progressive online estimator (online/) serving
-//     interval estimates between generations;
+//     into without a full rebuild (MergeFrom/FoldRows, est/), and a
+//     fixed-capacity decaying reservoir (sample/sampler.h) feeding full
+//     rebuilds of non-mergeable estimators. Neither grows with the number
+//     of rows ingested;
 //   * a staleness policy: refresh after `refresh_ingest_rows` folded rows
 //     and/or when the serving generation is older than `ttl_ticks` by the
 //     injected clock, executed inline or in the background on the shared
@@ -54,7 +54,6 @@
 #include "src/durability/wal.h"
 #include "src/est/estimator_factory.h"
 #include "src/exec/thread_pool.h"
-#include "src/online/online_estimator.h"
 #include "src/query/range_query.h"
 #include "src/sample/sampler.h"
 #include "src/util/retry.h"
@@ -191,7 +190,7 @@ class LiveStatisticsServer {
 
   // Registers (relation, attribute) and publishes generation 1, built from
   // `initial_rows` exactly as BuildEstimator would (so a quiet column
-  // serves bit-identically to the passive catalog). Replaces any previous
+  // serves bit-identically to the serving Catalog). Replaces any previous
   // registration of the same column.
   Status RegisterColumn(const std::string& relation,
                         const std::string& attribute, const Domain& domain,
@@ -211,10 +210,10 @@ class LiveStatisticsServer {
                        const EstimatorConfig& config);
 
   // Folds new rows into the column's ingest-side state: the mergeable
-  // accumulator (exact or bounded-drift, per estimator type), the
-  // reservoir, and the online estimator. Values are clamped to the
-  // column's domain. Returns before any triggered background refresh
-  // completes; the served generation is unchanged until the flip.
+  // accumulator (exact or bounded-drift, per estimator type) and the
+  // reservoir. Values are clamped to the column's domain. Returns before
+  // any triggered background refresh completes; the served generation is
+  // unchanged until the flip.
   Status Ingest(const std::string& relation, const std::string& attribute,
                 std::span<const double> rows);
 
@@ -247,13 +246,6 @@ class LiveStatisticsServer {
   // suite asserts every served value is bit-identical to its generation's
   // estimator (never a torn mix of two generations).
   StatusOr<ServedEstimate> EstimateDetailed(const std::string& relation,
-                                            const std::string& attribute,
-                                            const RangeQuery& query);
-
-  // Progressive interval estimate from the ingest-side online estimator:
-  // covers rows newer than the served generation, at the cost of taking
-  // the ingest mutex.
-  StatusOr<IntervalEstimate> OnlineEstimate(const std::string& relation,
                                             const std::string& attribute,
                                             const RangeQuery& query);
 

@@ -1,235 +1,8 @@
 #include "src/catalog/statistics_catalog.h"
 
-#include <cmath>
-
 #include "src/est/estimator_snapshot.h"
-#include "src/sample/sampler.h"
 
 namespace selest {
-namespace {
-
-constexpr uint32_t kFormatVersion = 1;
-
-}  // namespace
-
-void ColumnStatistics::Serialize(ByteWriter& writer) const {
-  writer.WriteU32(kFormatVersion);
-  writer.WriteString(column);
-  writer.WriteDouble(domain.lo);
-  writer.WriteDouble(domain.hi);
-  writer.WriteU32(domain.discrete ? 1 : 0);
-  writer.WriteU32(static_cast<uint32_t>(domain.bits));
-  writer.WriteU64(num_records);
-  writer.WriteU32(static_cast<uint32_t>(config.kind));
-  writer.WriteU32(static_cast<uint32_t>(config.smoothing));
-  writer.WriteDouble(config.fixed_smoothing);
-  writer.WriteU32(static_cast<uint32_t>(config.dpi_stages));
-  writer.WriteU32(static_cast<uint32_t>(config.ash_shifts));
-  writer.WriteU32(static_cast<uint32_t>(config.kernel));
-  writer.WriteU32(static_cast<uint32_t>(config.boundary));
-  writer.WriteDoubleVector(sample);
-}
-
-StatusOr<ColumnStatistics> ColumnStatistics::Deserialize(ByteReader& reader) {
-  auto version = reader.ReadU32();
-  if (!version.ok()) return version.status();
-  if (version.value() != kFormatVersion) {
-    return InvalidArgumentError("unsupported catalog format version " +
-                                std::to_string(version.value()));
-  }
-  ColumnStatistics statistics;
-  auto column = reader.ReadString();
-  if (!column.ok()) return column.status();
-  statistics.column = std::move(column).value();
-
-  auto lo = reader.ReadDouble();
-  if (!lo.ok()) return lo.status();
-  auto hi = reader.ReadDouble();
-  if (!hi.ok()) return hi.status();
-  auto discrete = reader.ReadU32();
-  if (!discrete.ok()) return discrete.status();
-  auto bits = reader.ReadU32();
-  if (!bits.ok()) return bits.status();
-  if (!(lo.value() < hi.value()) || !std::isfinite(lo.value()) ||
-      !std::isfinite(hi.value())) {
-    return InvalidArgumentError("corrupt catalog entry: bad domain");
-  }
-  statistics.domain.lo = lo.value();
-  statistics.domain.hi = hi.value();
-  statistics.domain.discrete = discrete.value() != 0;
-  statistics.domain.bits = static_cast<int>(bits.value());
-
-  auto num_records = reader.ReadU64();
-  if (!num_records.ok()) return num_records.status();
-  statistics.num_records = num_records.value();
-
-  auto kind = reader.ReadU32();
-  if (!kind.ok()) return kind.status();
-  if (kind.value() > static_cast<uint32_t>(EstimatorKind::kOnlineLearning)) {
-    return InvalidArgumentError("corrupt catalog entry: bad estimator kind");
-  }
-  statistics.config.kind = static_cast<EstimatorKind>(kind.value());
-  auto smoothing = reader.ReadU32();
-  if (!smoothing.ok()) return smoothing.status();
-  if (smoothing.value() > static_cast<uint32_t>(SmoothingRule::kFixed)) {
-    return InvalidArgumentError("corrupt catalog entry: bad smoothing rule");
-  }
-  statistics.config.smoothing = static_cast<SmoothingRule>(smoothing.value());
-  auto fixed = reader.ReadDouble();
-  if (!fixed.ok()) return fixed.status();
-  statistics.config.fixed_smoothing = fixed.value();
-  auto dpi_stages = reader.ReadU32();
-  if (!dpi_stages.ok()) return dpi_stages.status();
-  statistics.config.dpi_stages = static_cast<int>(dpi_stages.value());
-  auto ash_shifts = reader.ReadU32();
-  if (!ash_shifts.ok()) return ash_shifts.status();
-  statistics.config.ash_shifts = static_cast<int>(ash_shifts.value());
-  auto kernel = reader.ReadU32();
-  if (!kernel.ok()) return kernel.status();
-  if (kernel.value() > static_cast<uint32_t>(KernelType::kGaussian)) {
-    return InvalidArgumentError("corrupt catalog entry: bad kernel type");
-  }
-  statistics.config.kernel = static_cast<KernelType>(kernel.value());
-  auto boundary = reader.ReadU32();
-  if (!boundary.ok()) return boundary.status();
-  if (boundary.value() >
-      static_cast<uint32_t>(BoundaryPolicy::kBoundaryKernel)) {
-    return InvalidArgumentError("corrupt catalog entry: bad boundary policy");
-  }
-  statistics.config.boundary =
-      static_cast<BoundaryPolicy>(boundary.value());
-
-  auto sample = reader.ReadDoubleVector();
-  if (!sample.ok()) return sample.status();
-  statistics.sample = std::move(sample).value();
-  return statistics;
-}
-
-Status StatisticsCatalog::AnalyzeColumn(const Dataset& column,
-                                        const EstimatorConfig& config,
-                                        size_t sample_size, Rng& rng) {
-  if (sample_size == 0 || sample_size > column.size()) {
-    return InvalidArgumentError("sample_size must be in [1, column size]");
-  }
-  ColumnStatistics statistics;
-  statistics.column = column.name();
-  statistics.domain = column.domain();
-  statistics.num_records = column.size();
-  statistics.config = config;
-  statistics.sample =
-      SampleWithoutReplacement(column.values(), sample_size, rng);
-  return InstallStatistics(std::move(statistics));
-}
-
-Status StatisticsCatalog::InstallStatistics(ColumnStatistics statistics) {
-  auto estimator = BuildEstimator(statistics.sample, statistics.domain,
-                                  statistics.config);
-  if (!estimator.ok()) return estimator.status();
-  Entry entry;
-  const std::string name = statistics.column;
-  entry.statistics = std::move(statistics);
-  entry.estimator = std::move(estimator).value();
-  entries_.insert_or_assign(name, std::move(entry));
-  return Status::Ok();
-}
-
-const StatisticsCatalog::Entry* StatisticsCatalog::Find(
-    const std::string& column) const {
-  const auto it = entries_.find(column);
-  return it == entries_.end() ? nullptr : &it->second;
-}
-
-StatusOr<double> StatisticsCatalog::EstimateSelectivity(
-    const std::string& column, const RangeQuery& query) const {
-  const Entry* entry = Find(column);
-  if (entry == nullptr) {
-    return NotFoundError("no statistics for column '" + column + "'");
-  }
-  return entry->estimator->EstimateSelectivity(query);
-}
-
-StatusOr<double> StatisticsCatalog::EstimateResultSize(
-    const std::string& column, const RangeQuery& query) const {
-  const Entry* entry = Find(column);
-  if (entry == nullptr) {
-    return NotFoundError("no statistics for column '" + column + "'");
-  }
-  const double records = static_cast<double>(entry->statistics.num_records) +
-                         static_cast<double>(entry->modifications);
-  return entry->estimator->EstimateSelectivity(query) * records;
-}
-
-Status StatisticsCatalog::RecordModifications(const std::string& column,
-                                              size_t count) {
-  const auto it = entries_.find(column);
-  if (it == entries_.end()) {
-    return NotFoundError("no statistics for column '" + column + "'");
-  }
-  it->second.modifications += count;
-  return Status::Ok();
-}
-
-StatusOr<double> StatisticsCatalog::Staleness(
-    const std::string& column) const {
-  const Entry* entry = Find(column);
-  if (entry == nullptr) {
-    return NotFoundError("no statistics for column '" + column + "'");
-  }
-  if (entry->statistics.num_records == 0) return 1.0;
-  return static_cast<double>(entry->modifications) /
-         static_cast<double>(entry->statistics.num_records);
-}
-
-bool StatisticsCatalog::HasColumn(const std::string& column) const {
-  return Find(column) != nullptr;
-}
-
-std::vector<std::string> StatisticsCatalog::ColumnNames() const {
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) names.push_back(name);
-  return names;
-}
-
-StatusOr<const ColumnStatistics*> StatisticsCatalog::Statistics(
-    const std::string& column) const {
-  const Entry* entry = Find(column);
-  if (entry == nullptr) {
-    return NotFoundError("no statistics for column '" + column + "'");
-  }
-  return &entry->statistics;
-}
-
-std::vector<uint8_t> StatisticsCatalog::SaveToBytes() const {
-  ByteWriter writer;
-  writer.WriteU64(entries_.size());
-  for (const auto& [name, entry] : entries_) {
-    entry.statistics.Serialize(writer);
-  }
-  return writer.TakeBytes();
-}
-
-StatusOr<std::unique_ptr<StatisticsCatalog>> StatisticsCatalog::LoadFromBytes(
-    std::vector<uint8_t> bytes) {
-  ByteReader reader(std::move(bytes));
-  auto count = reader.ReadU64();
-  if (!count.ok()) return count.status();
-  auto catalog = std::make_unique<StatisticsCatalog>();
-  for (uint64_t i = 0; i < count.value(); ++i) {
-    auto statistics = ColumnStatistics::Deserialize(reader);
-    if (!statistics.ok()) return statistics.status();
-    Status status = catalog->InstallStatistics(std::move(statistics).value());
-    if (!status.ok()) return status;
-  }
-  if (!reader.AtEnd()) {
-    return InvalidArgumentError("trailing bytes after catalog payload");
-  }
-  return catalog;
-}
-
-// ---------------------------------------------------------------------------
-// Catalog: the build-once/serve-many layer.
-// ---------------------------------------------------------------------------
 
 Catalog::Catalog(CatalogOptions options)
     : options_(std::move(options)),

@@ -1,11 +1,19 @@
-// A statistics catalog: the system-level home of selectivity estimators.
+// The serving catalog: build-once/serve-many (DESIGN.md §9).
 //
 // Database systems keep per-column statistics in a catalog that the
-// optimizer consults; this module provides that layer for selest. A
-// catalog entry stores what a system would persist — the column's domain,
-// the drawn sample and the estimator configuration — and rebuilds the
-// estimator deterministically from them. Entries serialize to bytes for
-// persistence, track staleness, and can be refreshed from the live column.
+// optimizer consults; this module provides that layer for selest. Catalog
+// persists *built* estimators as snapshots (est/estimator_snapshot.h) and
+// serves estimates through a sharded LRU of deserialized instances. The
+// serve path per key is
+//
+//   cache hit                        → estimate directly;
+//   cache miss, valid disk snapshot  → deserialize, cache, estimate;
+//   cache miss, missing/corrupt file → rebuild from the registered sample,
+//                                      write the snapshot back, cache.
+//
+// A corrupt snapshot therefore degrades to a rebuild and a counter bump —
+// never an error on the serve path (graceful degradation, DESIGN.md §8).
+// All serve-path methods are safe for concurrent callers.
 #ifndef SELEST_CATALOG_STATISTICS_CATALOG_H_
 #define SELEST_CATALOG_STATISTICS_CATALOG_H_
 
@@ -23,105 +31,13 @@
 
 #include "src/catalog/serving_cache.h"
 #include "src/catalog/snapshot_store.h"
-#include "src/data/dataset.h"
+#include "src/data/domain.h"
 #include "src/est/estimator_factory.h"
 #include "src/query/range_query.h"
-#include "src/util/random.h"
 #include "src/util/retry.h"
-#include "src/util/serialize.h"
 #include "src/util/status.h"
 
 namespace selest {
-
-// Persisted statistics of one column.
-struct ColumnStatistics {
-  std::string column;
-  Domain domain;
-  size_t num_records = 0;  // records in the relation when stats were built
-  EstimatorConfig config;
-  std::vector<double> sample;
-
-  // Encodes/decodes the persisted form (versioned).
-  void Serialize(ByteWriter& writer) const;
-  static StatusOr<ColumnStatistics> Deserialize(ByteReader& reader);
-};
-
-class StatisticsCatalog {
- public:
-  StatisticsCatalog() = default;
-
-  // Catalogs are registries with identity; moving them around invites
-  // dangling references from optimizers.
-  StatisticsCatalog(const StatisticsCatalog&) = delete;
-  StatisticsCatalog& operator=(const StatisticsCatalog&) = delete;
-
-  // Draws a sample of `sample_size` records from `column` and builds the
-  // configured estimator. Replaces any previous statistics for the column.
-  Status AnalyzeColumn(const Dataset& column, const EstimatorConfig& config,
-                       size_t sample_size, Rng& rng);
-
-  // Installs externally produced statistics (e.g. loaded ones) and builds
-  // the estimator.
-  Status InstallStatistics(ColumnStatistics statistics);
-
-  // Estimated selectivity of a range predicate on a cataloged column.
-  StatusOr<double> EstimateSelectivity(const std::string& column,
-                                       const RangeQuery& query) const;
-
-  // Estimated result size, scaled by the record count seen at analyze time
-  // plus any modifications reported since.
-  StatusOr<double> EstimateResultSize(const std::string& column,
-                                      const RangeQuery& query) const;
-
-  // Reports records inserted/deleted since the last analyze; drives
-  // staleness.
-  Status RecordModifications(const std::string& column, size_t count);
-
-  // Modified-fraction since the last analyze (0 when fresh). Typical
-  // systems re-analyze beyond a threshold like 0.2.
-  StatusOr<double> Staleness(const std::string& column) const;
-
-  bool HasColumn(const std::string& column) const;
-  std::vector<std::string> ColumnNames() const;
-  size_t size() const { return entries_.size(); }
-
-  // The persisted statistics of a column (for inspection/tests).
-  StatusOr<const ColumnStatistics*> Statistics(const std::string& column) const;
-
-  // Serializes every entry; LoadFromBytes rebuilds a full catalog.
-  std::vector<uint8_t> SaveToBytes() const;
-  static StatusOr<std::unique_ptr<StatisticsCatalog>> LoadFromBytes(
-      std::vector<uint8_t> bytes);
-
- private:
-  struct Entry {
-    ColumnStatistics statistics;
-    std::unique_ptr<SelectivityEstimator> estimator;
-    size_t modifications = 0;
-  };
-
-  const Entry* Find(const std::string& column) const;
-
-  std::map<std::string, Entry> entries_;
-};
-
-// ---------------------------------------------------------------------------
-// The serving catalog: build-once/serve-many (DESIGN.md §9).
-//
-// StatisticsCatalog above rebuilds estimators from raw statistics on every
-// load; Catalog instead persists *built* estimators as snapshots
-// (est/estimator_snapshot.h) and serves estimates through a sharded LRU of
-// deserialized instances. The serve path per key is
-//
-//   cache hit                        → estimate directly;
-//   cache miss, valid disk snapshot  → deserialize, cache, estimate;
-//   cache miss, missing/corrupt file → rebuild from the registered sample,
-//                                      write the snapshot back, cache.
-//
-// A corrupt snapshot therefore degrades to a rebuild and a counter bump —
-// never an error on the serve path, matching the PR 2 degradation
-// philosophy. All serve-path methods are safe for concurrent callers.
-// ---------------------------------------------------------------------------
 
 struct CatalogOptions {
   // Directory for persisted snapshots; empty disables the durable tier

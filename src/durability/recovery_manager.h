@@ -67,7 +67,7 @@ struct RecoveredColumn {
   // does not merge (the caller rebuilds from the replayed reservoir).
   std::unique_ptr<SelectivityEstimator> accumulator;
   // The registration row set and every durable ingest batch after it, in
-  // ingest order — the replay source for reservoir and online state.
+  // ingest order — the replay source for the reservoir.
   std::vector<double> registration_rows;
   std::vector<std::vector<double>> ingest_batches;
   uint64_t total_rows = 0;

@@ -1,6 +1,7 @@
 #include "src/eval/experiment.h"
 
 #include <limits>
+#include <memory>
 
 #include "src/eval/parallel_experiment.h"
 #include "src/sample/sampler.h"
@@ -35,11 +36,16 @@ ExperimentSetup MakeSetup(const Dataset& data,
 
 StatusOr<ErrorReport> RunConfig(const ExperimentSetup& setup,
                                 const EstimatorConfig& config) {
-  // The parallel path is bit-identical to the serial one at any thread
-  // count (fixed-order reduction; see eval/parallel_experiment.h), so the
-  // default runner — and with it the oracle objectives below — always goes
-  // through it. ParallelExecOptions{.threads = 1} is the serial fallback.
-  return RunConfigParallel(setup, config, ParallelExecOptions{});
+  SELEST_CHECK(setup.data != nullptr);
+  SELEST_ASSIGN_OR_RETURN(
+      const std::unique_ptr<SelectivityEstimator> estimator,
+      BuildEstimator(setup.sample, setup.domain(), config));
+  const GroundTruth truth(*setup.data);
+  // The parallel evaluation is bit-identical to the serial one at any
+  // thread count (fixed-order reduction; see eval/parallel_experiment.h),
+  // so the default runner — and with it the oracle objectives below —
+  // always goes through it on the shared pool.
+  return EvaluateParallel(*estimator, setup.queries, truth);
 }
 
 std::function<double(int)> MakeBinCountObjective(const ExperimentSetup& setup,

@@ -1,6 +1,5 @@
 #include "src/eval/parallel_experiment.h"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -10,6 +9,10 @@
 
 namespace selest {
 namespace {
+
+// Query chunks per worker; more chunks even out per-chunk cost skew
+// without affecting results (chunk boundaries never change values).
+constexpr size_t kChunksPerThread = 4;
 
 // Resolves the options to a pool: the shared default pool, a dedicated
 // transient pool kept alive by `owned`, or nullptr for the serial path.
@@ -21,21 +24,22 @@ ThreadPool* ResolvePool(const ParallelExecOptions& options,
   return owned.get();
 }
 
-size_t NumChunks(const ThreadPool& pool, const ParallelExecOptions& options) {
-  return pool.num_threads() * std::max<size_t>(1, options.chunks_per_thread);
+size_t NumChunks(const ThreadPool& pool) {
+  return pool.num_threads() * kChunksPerThread;
 }
 
-// EvaluateParallel's body against an already-resolved pool, so sweeps that
-// score many estimators resolve once per sweep instead of spawning (and
-// joining) a dedicated pool per config.
-ErrorReport EvaluateOnPool(const SelectivityEstimator& estimator,
-                           std::span<const RangeQuery> queries,
-                           const GroundTruth& truth, ThreadPool* pool,
-                           const ParallelExecOptions& options) {
+}  // namespace
+
+ErrorReport EvaluateParallel(const SelectivityEstimator& estimator,
+                             std::span<const RangeQuery> queries,
+                             const GroundTruth& truth,
+                             const ParallelExecOptions& options) {
+  std::unique_ptr<ThreadPool> owned;
+  ThreadPool* pool = ResolvePool(options, owned);
   if (pool == nullptr) return Evaluate(estimator, queries, truth);
   std::vector<size_t> exact_counts(queries.size());
   std::vector<double> estimates(queries.size());
-  ParallelFor(pool, queries.size(), NumChunks(*pool, options),
+  ParallelFor(pool, queries.size(), NumChunks(*pool),
               [&](size_t begin, size_t end, size_t /*chunk*/) {
                 for (size_t i = begin; i < end; ++i) {
                   exact_counts[i] = truth.Count(queries[i]);
@@ -47,27 +51,6 @@ ErrorReport EvaluateOnPool(const SelectivityEstimator& estimator,
   return AccumulateReport(exact_counts, estimates, truth.num_records());
 }
 
-}  // namespace
-
-ErrorReport EvaluateParallel(const SelectivityEstimator& estimator,
-                             std::span<const RangeQuery> queries,
-                             const GroundTruth& truth,
-                             const ParallelExecOptions& options) {
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool* pool = ResolvePool(options, owned);
-  return EvaluateOnPool(estimator, queries, truth, pool, options);
-}
-
-StatusOr<ErrorReport> RunConfigParallel(const ExperimentSetup& setup,
-                                        const EstimatorConfig& config,
-                                        const ParallelExecOptions& options) {
-  SELEST_CHECK(setup.data != nullptr);
-  auto estimator = BuildEstimator(setup.sample, setup.domain(), config);
-  if (!estimator.ok()) return estimator.status();
-  const GroundTruth truth(*setup.data);
-  return EvaluateParallel(*estimator.value(), setup.queries, truth, options);
-}
-
 std::vector<StatusOr<ErrorReport>> RunConfigsParallel(
     const ExperimentSetup& setup, std::span<const EstimatorConfig> configs,
     const ParallelExecOptions& options) {
@@ -75,23 +58,28 @@ std::vector<StatusOr<ErrorReport>> RunConfigsParallel(
   std::vector<StatusOr<ErrorReport>> results;
   results.reserve(configs.size());
 
+  const GroundTruth truth(*setup.data);
   std::unique_ptr<ThreadPool> owned;
   ThreadPool* pool = ResolvePool(options, owned);
   if (pool == nullptr) {
     for (const EstimatorConfig& config : configs) {
-      results.push_back(RunConfigParallel(setup, config, options));
+      auto estimator = BuildEstimator(setup.sample, setup.domain(), config);
+      if (!estimator.ok()) {
+        results.push_back(estimator.status());
+        continue;
+      }
+      results.push_back(Evaluate(*estimator.value(), setup.queries, truth));
     }
     return results;
   }
 
-  const GroundTruth truth(*setup.data);
   const std::span<const RangeQuery> queries(setup.queries);
 
   // Phase 1 — shared inputs, each parallel on its own axis: the exact
   // counts (identical for every config, so computed once) over query
   // chunks, then the estimator builds over configs.
   std::vector<size_t> exact_counts(queries.size());
-  ParallelFor(pool, queries.size(), NumChunks(*pool, options),
+  ParallelFor(pool, queries.size(), NumChunks(*pool),
               [&](size_t begin, size_t end, size_t /*chunk*/) {
                 for (size_t i = begin; i < end; ++i) {
                   exact_counts[i] = truth.Count(queries[i]);
@@ -116,7 +104,7 @@ std::vector<StatusOr<ErrorReport>> RunConfigsParallel(
     size_t end;
   };
   const auto query_chunks =
-      SplitRange(queries.size(), NumChunks(*pool, options));
+      SplitRange(queries.size(), NumChunks(*pool));
   std::vector<EstimationTask> tasks;
   std::vector<std::vector<double>> estimates(configs.size());
   for (size_t c = 0; c < configs.size(); ++c) {
@@ -150,81 +138,6 @@ std::vector<StatusOr<ErrorReport>> RunConfigsParallel(
   return results;
 }
 
-std::vector<StatusOr<ErrorReport>> RunConfigsServed(
-    Catalog& catalog, const std::string& relation, const std::string& attribute,
-    const ExperimentSetup& setup, std::span<const EstimatorConfig> configs,
-    const ParallelExecOptions& options) {
-  SELEST_CHECK(setup.data != nullptr);
-  std::vector<StatusOr<ErrorReport>> results;
-  results.reserve(configs.size());
-  const GroundTruth truth(*setup.data);
-  // One pool for the whole sweep: with options.threads = N this used to
-  // spawn and join a dedicated N-worker pool per config, which both churned
-  // threads and made the effective parallelism differ from
-  // RunConfigsParallel under the same options.
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool* pool = ResolvePool(options, owned);
-  for (const EstimatorConfig& config : configs) {
-    auto key = catalog.RegisterColumn(relation, attribute, setup.domain(),
-                                      setup.sample, config);
-    if (!key.ok()) {
-      results.push_back(key.status());
-      continue;
-    }
-    auto estimator = catalog.GetEstimator(key.value());
-    if (!estimator.ok()) {
-      results.push_back(estimator.status());
-      continue;
-    }
-    results.push_back(
-        EvaluateOnPool(*estimator.value(), setup.queries, truth, pool, options));
-  }
-  return results;
-}
-
-std::vector<StatusOr<ErrorReport>> RunConfigsLive(
-    LiveStatisticsServer& server, const std::string& relation,
-    const std::string& attribute, const ExperimentSetup& setup,
-    std::span<const EstimatorConfig> configs,
-    const LiveSweepOptions& options) {
-  SELEST_CHECK(setup.data != nullptr);
-  std::vector<StatusOr<ErrorReport>> results;
-  results.reserve(configs.size());
-  const GroundTruth truth(*setup.data);
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool* pool = ResolvePool(options.exec, owned);
-  for (const EstimatorConfig& config : configs) {
-    const Status registered = server.RegisterColumn(
-        relation, attribute, setup.domain(), config, setup.sample);
-    if (!registered.ok()) {
-      results.push_back(registered);
-      continue;
-    }
-    if (!options.ingest_rows.empty()) {
-      const Status ingested =
-          server.Ingest(relation, attribute, options.ingest_rows);
-      if (!ingested.ok()) {
-        results.push_back(ingested);
-        continue;
-      }
-      if (options.refresh_after_ingest) {
-        // A failed refresh is degradation, not a lost cell: the
-        // registration generation keeps serving and scores below.
-        (void)server.Refresh(relation, attribute);
-      }
-    }
-    auto estimator = server.CurrentEstimator(relation, attribute);
-    if (!estimator.ok()) {
-      results.push_back(estimator.status());
-      continue;
-    }
-    results.push_back(
-        EvaluateOnPool(*estimator.value(), setup.queries, truth, pool,
-                       options.exec));
-  }
-  return results;
-}
-
 std::vector<GuardedCellReport> RunConfigsGuarded(
     const ExperimentSetup& setup, std::span<const EstimatorConfig> configs,
     const ParallelExecOptions& options) {
@@ -234,7 +147,7 @@ std::vector<GuardedCellReport> RunConfigsGuarded(
 
   std::unique_ptr<ThreadPool> owned;
   ThreadPool* pool = ResolvePool(options, owned);
-  const size_t num_chunks = pool == nullptr ? 1 : NumChunks(*pool, options);
+  const size_t num_chunks = pool == nullptr ? 1 : NumChunks(*pool);
 
   const GroundTruth truth(*setup.data);
   const std::span<const RangeQuery> queries(setup.queries);

@@ -19,8 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "src/catalog/live_server.h"
-#include "src/catalog/statistics_catalog.h"
 #include "src/est/guarded_estimator.h"
 #include "src/eval/experiment.h"
 #include "src/eval/metrics.h"
@@ -35,9 +33,6 @@ struct ParallelExecOptions {
   // N → a dedicated pool of N workers for this call (used by the
   //     determinism tests and the speedup benchmark).
   size_t threads = 0;
-  // Query chunks per worker; more chunks even out per-chunk cost skew
-  // without affecting results (chunk boundaries never change values).
-  size_t chunks_per_thread = 4;
 };
 
 // Evaluate() with query chunks fanned across the pool. Bit-identical to
@@ -46,12 +41,6 @@ ErrorReport EvaluateParallel(const SelectivityEstimator& estimator,
                              std::span<const RangeQuery> queries,
                              const GroundTruth& truth,
                              const ParallelExecOptions& options = {});
-
-// RunConfig() with parallel evaluation: builds the estimator, then scores
-// the setup's queries via EvaluateParallel.
-StatusOr<ErrorReport> RunConfigParallel(const ExperimentSetup& setup,
-                                        const EstimatorConfig& config,
-                                        const ParallelExecOptions& options = {});
 
 // Runs a whole sweep: exact counts are computed once, estimators are built
 // in parallel across configs, and estimation fans out over every
@@ -92,48 +81,6 @@ struct GuardedCellReport {
 std::vector<GuardedCellReport> RunConfigsGuarded(
     const ExperimentSetup& setup, std::span<const EstimatorConfig> configs,
     const ParallelExecOptions& options = {});
-
-// RunConfigsParallel served through a warmed statistics catalog: each
-// config is registered under (relation, attribute) with the setup's sample,
-// the catalog resolves it (cache → snapshot → rebuild), and the resulting
-// estimator scores the setup's queries through the same fan-out. Because a
-// catalog rebuild calls BuildEstimator on the registered sample and
-// snapshot round-trips are bit-identical, reports match RunConfigsParallel
-// bit for bit whether each cell was served cold, from disk, or from cache.
-// Registration errors surface per cell in config order.
-std::vector<StatusOr<ErrorReport>> RunConfigsServed(
-    Catalog& catalog, const std::string& relation, const std::string& attribute,
-    const ExperimentSetup& setup, std::span<const EstimatorConfig> configs,
-    const ParallelExecOptions& options = {});
-
-// Options for the live-server sweep. With an empty `ingest_rows`, the
-// sweep is a pure read workload and its reports are bit-identical to
-// RunConfigsServed (and hence RunConfigsParallel): the live registration
-// build and the catalog rebuild both call BuildEstimator on the same
-// sample, and scoring goes through the same fan-out.
-struct LiveSweepOptions {
-  ParallelExecOptions exec;
-  // Rows folded into every column after registration, before scoring
-  // (the mixed read/ingest workload).
-  std::vector<double> ingest_rows;
-  // Force a synchronous refresh after the ingest so the scored generation
-  // reflects the folded rows. A failed refresh keeps the registration
-  // generation serving, and the cell reports scores from it (graceful
-  // degradation, not an error cell).
-  bool refresh_after_ingest = true;
-};
-
-// RunConfigsServed through a LiveStatisticsServer: each config is
-// registered as a live column with the setup's sample, optionally fed
-// `ingest_rows` and refreshed, and the currently served generation scores
-// the setup's queries through the shared fan-out. Configs reuse the
-// (relation, attribute) slot sequentially — each registration replaces the
-// previous config's column. Results are in config order.
-std::vector<StatusOr<ErrorReport>> RunConfigsLive(
-    LiveStatisticsServer& server, const std::string& relation,
-    const std::string& attribute, const ExperimentSetup& setup,
-    std::span<const EstimatorConfig> configs,
-    const LiveSweepOptions& options = {});
 
 }  // namespace selest
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/density/equal_width_grid.h"
 #include "src/est/estimator_snapshot.h"
 
 namespace selest {
@@ -31,40 +32,15 @@ StatusOr<FeedbackHistogram> FeedbackHistogram::CreateFromSample(
   }
   std::vector<double>& masses = histogram->masses_;
   std::fill(masses.begin(), masses.end(), 0.0);
-  const double bin_width = domain.width() / options.num_bins;
+  const EqualWidthGrid grid{domain, masses.size()};
   for (double v : sample) {
-    auto bin = static_cast<long>((domain.Clamp(v) - domain.lo) / bin_width);
-    bin = std::clamp<long>(bin, 0, options.num_bins - 1);
-    masses[static_cast<size_t>(bin)] += 1.0 / static_cast<double>(sample.size());
+    masses[grid.BinOf(v)] += 1.0 / static_cast<double>(sample.size());
   }
   return histogram;
 }
 
-double FeedbackHistogram::Overlap(size_t i, double a, double b) const {
-  const double bin_width = domain_.width() / masses_.size();
-  const double lo = domain_.lo + i * bin_width;
-  const double hi = lo + bin_width;
-  const double overlap = std::min(b, hi) - std::max(a, lo);
-  return overlap <= 0.0 ? 0.0 : overlap / bin_width;
-}
-
 double FeedbackHistogram::EstimateSelectivity(double a, double b) const {
-  a = domain_.Clamp(a);
-  b = domain_.Clamp(b);
-  // Clamp passes NaN through, so this single guard rejects NaN bounds as
-  // well as inverted and degenerate ranges — the bin walk below only ever
-  // sees finite in-domain endpoints (±inf clamps to the domain edges).
-  if (!(a < b)) return 0.0;
-  const double bin_width = domain_.width() / masses_.size();
-  const auto first = static_cast<size_t>((a - domain_.lo) / bin_width);
-  double mass = 0.0;
-  for (size_t i = std::min(first, masses_.size() - 1); i < masses_.size();
-       ++i) {
-    const double fraction = Overlap(i, a, b);
-    if (fraction <= 0.0 && domain_.lo + i * bin_width > b) break;
-    mass += fraction * masses_[i];
-  }
-  return std::clamp(mass, 0.0, 1.0);
+  return EqualWidthGrid{domain_, masses_.size()}.Selectivity(masses_, a, b);
 }
 
 void FeedbackHistogram::Observe(const RangeQuery& query,
@@ -75,12 +51,13 @@ void FeedbackHistogram::Observe(const RangeQuery& query,
   const double b = domain_.Clamp(query.b);
   if (!(a < b)) return;  // rejects NaN, inverted, and degenerate queries
   ++observations_;
+  const EqualWidthGrid grid{domain_, masses_.size()};
 
   // Current estimate restricted to the query, per overlapping bin.
   std::vector<std::pair<size_t, double>> overlapped;  // (bin, overlap mass)
   double estimate = 0.0;
   for (size_t i = 0; i < masses_.size(); ++i) {
-    const double fraction = Overlap(i, a, b);
+    const double fraction = grid.Overlap(i, a, b);
     if (fraction <= 0.0) continue;
     overlapped.emplace_back(i, fraction * masses_[i]);
     estimate += fraction * masses_[i];
@@ -101,7 +78,7 @@ void FeedbackHistogram::Observe(const RangeQuery& query,
     for (const auto& [i, overlap_mass] : overlapped) {
       const double share = overlap_mass / estimate;
       const double delta = correction * share;
-      const double fraction = Overlap(i, a, b);
+      const double fraction = grid.Overlap(i, a, b);
       // Only the overlapped fraction of the bin is re-estimated; lift the
       // bin by delta / fraction so the overlapped portion changes by delta.
       masses_[i] = std::max(0.0, masses_[i] + delta / std::max(fraction, 1e-12));
@@ -115,12 +92,12 @@ void FeedbackHistogram::Observe(const RangeQuery& query,
     double sum_sq_fraction = 0.0;
     for (const auto& [i, overlap_mass] : overlapped) {
       (void)overlap_mass;
-      const double fraction = Overlap(i, a, b);
+      const double fraction = grid.Overlap(i, a, b);
       sum_sq_fraction += fraction * fraction;
     }
     for (const auto& [i, overlap_mass] : overlapped) {
       (void)overlap_mass;
-      const double fraction = Overlap(i, a, b);
+      const double fraction = grid.Overlap(i, a, b);
       masses_[i] = std::max(
           0.0, masses_[i] + correction * fraction /
                                 std::max(sum_sq_fraction, 1e-12));

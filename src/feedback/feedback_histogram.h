@@ -84,9 +84,6 @@ class FeedbackHistogram : public SelectivityEstimator {
                     std::vector<double> masses)
       : domain_(domain), options_(options), masses_(std::move(masses)) {}
 
-  // Fraction of bin i covered by [a, b].
-  double Overlap(size_t i, double a, double b) const;
-
   Domain domain_;
   FeedbackHistogramOptions options_;
   std::vector<double> masses_;  // mass per bin; intended to sum to ~1

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/density/equal_width_grid.h"
 #include "src/est/estimator_snapshot.h"
 
 namespace selest {
@@ -70,30 +71,19 @@ ReconstructedDistributionEstimator::CreateFromSample(
   }
   std::vector<double>& masses = estimator->masses_;
   std::fill(masses.begin(), masses.end(), 0.0);
-  const double bin_width = domain.width() / options.num_bins;
+  const EqualWidthGrid grid{domain, masses.size()};
   for (double v : sample) {
-    auto bin = static_cast<long>((domain.Clamp(v) - domain.lo) / bin_width);
-    bin = std::clamp<long>(bin, 0, options.num_bins - 1);
-    masses[static_cast<size_t>(bin)] +=
-        1.0 / static_cast<double>(sample.size());
+    masses[grid.BinOf(v)] += 1.0 / static_cast<double>(sample.size());
   }
   return estimator;
 }
 
-double ReconstructedDistributionEstimator::Overlap(size_t i, double a,
-                                                   double b) const {
-  const double bin_width = domain_.width() / masses_.size();
-  const double lo = domain_.lo + i * bin_width;
-  const double hi = lo + bin_width;
-  const double overlap = std::min(b, hi) - std::max(a, lo);
-  return overlap <= 0.0 ? 0.0 : overlap / bin_width;
-}
-
 double ReconstructedDistributionEstimator::ConstraintEstimate(
     const SelectivityConstraint& c) const {
+  const EqualWidthGrid grid{domain_, masses_.size()};
   double estimate = 0.0;
   for (size_t i = 0; i < masses_.size(); ++i) {
-    const double fraction = Overlap(i, c.a, c.b);
+    const double fraction = grid.Overlap(i, c.a, c.b);
     if (fraction > 0.0) estimate += fraction * masses_[i];
   }
   return estimate;
@@ -101,21 +91,7 @@ double ReconstructedDistributionEstimator::ConstraintEstimate(
 
 double ReconstructedDistributionEstimator::EstimateSelectivity(
     double a, double b) const {
-  a = domain_.Clamp(a);
-  b = domain_.Clamp(b);
-  // Clamp passes NaN through; this guard rejects NaN, inverted, and
-  // degenerate ranges in one comparison (±inf clamps to the domain edges).
-  if (!(a < b)) return 0.0;
-  const double bin_width = domain_.width() / masses_.size();
-  const auto first = static_cast<size_t>((a - domain_.lo) / bin_width);
-  double mass = 0.0;
-  for (size_t i = std::min(first, masses_.size() - 1); i < masses_.size();
-       ++i) {
-    const double fraction = Overlap(i, a, b);
-    if (fraction <= 0.0 && domain_.lo + i * bin_width > b) break;
-    mass += fraction * masses_[i];
-  }
-  return std::clamp(mass, 0.0, 1.0);
+  return EqualWidthGrid{domain_, masses_.size()}.Selectivity(masses_, a, b);
 }
 
 void ReconstructedDistributionEstimator::EstimateSelectivityBatch(
@@ -127,6 +103,7 @@ void ReconstructedDistributionEstimator::EstimateSelectivityBatch(
 
 void ReconstructedDistributionEstimator::ApplyMaxEntropy(
     const SelectivityConstraint& c) {
+  const EqualWidthGrid grid{domain_, masses_.size()};
   const double estimate = ConstraintEstimate(c);
   if (estimate > 1e-12) {
     // Proportional fitting: scale the covered part of every overlapping bin
@@ -134,7 +111,7 @@ void ReconstructedDistributionEstimator::ApplyMaxEntropy(
     const double ratio = c.selectivity / estimate;
     const double factor = 1.0 + options_.damping * (ratio - 1.0);
     for (size_t i = 0; i < masses_.size(); ++i) {
-      const double fraction = Overlap(i, c.a, c.b);
+      const double fraction = grid.Overlap(i, c.a, c.b);
       if (fraction <= 0.0) continue;
       masses_[i] *= (1.0 - fraction) + fraction * factor;
     }
@@ -147,13 +124,13 @@ void ReconstructedDistributionEstimator::ApplyMaxEntropy(
   // lift zero mass).
   double sum_sq_fraction = 0.0;
   for (size_t i = 0; i < masses_.size(); ++i) {
-    const double fraction = Overlap(i, c.a, c.b);
+    const double fraction = grid.Overlap(i, c.a, c.b);
     sum_sq_fraction += fraction * fraction;
   }
   if (sum_sq_fraction <= 0.0) return;
   const double scale = options_.damping * c.selectivity / sum_sq_fraction;
   for (size_t i = 0; i < masses_.size(); ++i) {
-    const double fraction = Overlap(i, c.a, c.b);
+    const double fraction = grid.Overlap(i, c.a, c.b);
     if (fraction > 0.0) masses_[i] += scale * fraction;
   }
 }
@@ -161,16 +138,17 @@ void ReconstructedDistributionEstimator::ApplyMaxEntropy(
 void ReconstructedDistributionEstimator::ApplyLeastSquares(
     const SelectivityConstraint& c) {
   // Kaczmarz projection onto the hyperplane Σ f_i m_i = s, clipped at 0.
+  const EqualWidthGrid grid{domain_, masses_.size()};
   const double residual = c.selectivity - ConstraintEstimate(c);
   double sum_sq_fraction = 0.0;
   for (size_t i = 0; i < masses_.size(); ++i) {
-    const double fraction = Overlap(i, c.a, c.b);
+    const double fraction = grid.Overlap(i, c.a, c.b);
     sum_sq_fraction += fraction * fraction;
   }
   if (sum_sq_fraction <= 0.0) return;
   const double step = options_.damping * residual / sum_sq_fraction;
   for (size_t i = 0; i < masses_.size(); ++i) {
-    const double fraction = Overlap(i, c.a, c.b);
+    const double fraction = grid.Overlap(i, c.a, c.b);
     if (fraction <= 0.0) continue;
     masses_[i] = std::max(0.0, masses_[i] + step * fraction);
   }

@@ -106,9 +106,7 @@ class ReconstructedDistributionEstimator : public SelectivityEstimator {
       std::vector<double> masses)
       : domain_(domain), options_(options), masses_(std::move(masses)) {}
 
-  // Fraction of bin i covered by [a, b].
-  double Overlap(size_t i, double a, double b) const;
-  // Σ_i Overlap(i, a, b) · masses_[i], unclamped.
+  // Σ_i overlap(i, a, b) · masses_[i] on the bin grid, unclamped.
   double ConstraintEstimate(const SelectivityConstraint& c) const;
   void ApplyMaxEntropy(const SelectivityConstraint& c);
   void ApplyLeastSquares(const SelectivityConstraint& c);

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "src/smoothing/normal_scale.h"
@@ -30,17 +27,15 @@ IntervalEstimate MakeInterval(double mean, double variance, size_t n,
   return result;
 }
 
-// Sum (and, when `sum_sq` is non-null, sum of squares) of the per-sample
-// kernel contributions w_i over [a, b]; `sorted` must be ascending and a < b.
-// Shared by the progressive Estimate and the frozen snapshot so both
-// accumulate in the same order and agree bit for bit.
+// Sum and sum of squares of the per-sample kernel contributions w_i over
+// [a, b]; `sorted` must be ascending and a < b.
 double ContributionSum(const std::vector<double>& sorted, const Kernel& kernel,
-                       double h, double a, double b, double* sum_sq) {
+                       double h, double a, double b, double& sum_sq) {
   const double radius = kernel.support_radius() * h;
   double sum = 0.0;
   const auto add = [&](double w) {
     sum += w;
-    if (sum_sq != nullptr) *sum_sq += w * w;
+    sum_sq += w * w;
   };
   const auto contribution = [&](double x) {
     return kernel.Cdf((b - x) / h) - kernel.Cdf((a - x) / h);
@@ -53,8 +48,8 @@ double ContributionSum(const std::vector<double>& sorted, const Kernel& kernel,
     const auto full_hi =
         std::upper_bound(sorted.begin(), sorted.end(), b - radius);
     const double full = static_cast<double>(full_hi - full_lo);
-    sum += full;                          // w = 1 each
-    if (sum_sq != nullptr) *sum_sq += full;  // w² = 1 each
+    sum += full;     // w = 1 each
+    sum_sq += full;  // w² = 1 each
     const auto left_lo =
         std::lower_bound(sorted.begin(), sorted.end(), a - radius);
     for (auto it = left_lo; it != full_lo; ++it) add(contribution(*it));
@@ -69,42 +64,6 @@ double ContributionSum(const std::vector<double>& sorted, const Kernel& kernel,
   return sum;
 }
 
-// The immutable snapshot Freeze() publishes: sorted samples and the
-// bandwidth are fixed at freeze time, so const calls are genuinely
-// read-only (thread-safe per the SelectivityEstimator contract).
-class FrozenOnlineEstimator : public SelectivityEstimator {
- public:
-  FrozenOnlineEstimator(const Domain& domain, const Kernel& kernel,
-                        double bandwidth, std::vector<double> sorted)
-      : domain_(domain),
-        kernel_(kernel),
-        bandwidth_(bandwidth),
-        sorted_(std::move(sorted)) {}
-
-  double EstimateSelectivity(double a, double b) const override {
-    const double lo = domain_.Clamp(a);
-    const double hi = domain_.Clamp(b);
-    if (lo >= hi) return 0.0;
-    const double sum =
-        ContributionSum(sorted_, kernel_, bandwidth_, lo, hi, nullptr);
-    return std::clamp(sum / static_cast<double>(sorted_.size()), 0.0, 1.0);
-  }
-
-  size_t StorageBytes() const override {
-    return sizeof(double) * sorted_.size();
-  }
-
-  std::string name() const override {
-    return "online(" + std::to_string(sorted_.size()) + ")";
-  }
-
- private:
-  Domain domain_;
-  Kernel kernel_;
-  double bandwidth_;
-  std::vector<double> sorted_;
-};
-
 }  // namespace
 
 OnlineSelectivityEstimator::OnlineSelectivityEstimator(const Domain& domain,
@@ -117,17 +76,6 @@ void OnlineSelectivityEstimator::AddSample(double value) {
 
 void OnlineSelectivityEstimator::AddSamples(std::span<const double> values) {
   values_.insert(values_.end(), values.begin(), values.end());
-}
-
-uint64_t OnlineSelectivityEstimator::AddFromSource(ColumnSource& source) {
-  source.Reset();
-  uint64_t rows = 0;
-  for (std::span<const double> chunk = source.NextChunk(); !chunk.empty();
-       chunk = source.NextChunk()) {
-    AddSamples(chunk);
-    rows += chunk.size();
-  }
-  return rows;
 }
 
 void OnlineSelectivityEstimator::EnsureSorted() const {
@@ -163,22 +111,10 @@ IntervalEstimate OnlineSelectivityEstimator::Estimate(
   const double h = NormalScaleBandwidth(values_, domain_, kernel_);
   // Sum and sum of squares give mean and variance of the w_i.
   double sum_sq = 0.0;
-  const double sum = ContributionSum(values_, kernel_, h, a, b, &sum_sq);
+  const double sum = ContributionSum(values_, kernel_, h, a, b, sum_sq);
   const double mean = sum / static_cast<double>(n);
   const double variance = sum_sq / static_cast<double>(n) - mean * mean;
   return MakeInterval(mean, variance, n, confidence);
-}
-
-StatusOr<std::unique_ptr<SelectivityEstimator>>
-OnlineSelectivityEstimator::Freeze() const {
-  if (values_.size() < 2) {
-    return FailedPreconditionError(
-        "freezing an online estimator needs at least two samples");
-  }
-  EnsureSorted();
-  const double h = NormalScaleBandwidth(values_, domain_, kernel_);
-  return std::unique_ptr<SelectivityEstimator>(
-      new FrozenOnlineEstimator(domain_, kernel_, h, values_));
 }
 
 IntervalEstimate OnlineSelectivityEstimator::SamplingEstimate(

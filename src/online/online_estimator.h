@@ -19,16 +19,12 @@
 #define SELEST_ONLINE_ONLINE_ESTIMATOR_H_
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "src/data/column_source.h"
 #include "src/data/domain.h"
 #include "src/density/kernel.h"
-#include "src/est/selectivity_estimator.h"
 #include "src/query/range_query.h"
-#include "src/util/status.h"
 
 namespace selest {
 
@@ -52,25 +48,12 @@ class OnlineSelectivityEstimator {
   // lazily when an estimate is requested.
   void AddSample(double value);
 
-  // Batch ingest (the live-server Ingest path delivers rows in batches).
+  // Batch ingest. Keeps every value: memory grows with the stream, so
+  // this belongs in a bounded online-aggregation query, not in a
+  // long-lived ingest path.
   void AddSamples(std::span<const double> values);
 
-  // Streams every chunk of `source` (from a Reset) into AddSamples — the
-  // out-of-core ingest path. Equivalent to AddSamples over the
-  // materialized column; one chunk resident at a time. Returns the number
-  // of rows ingested.
-  uint64_t AddFromSource(ColumnSource& source);
-
   size_t samples_seen() const { return values_.size(); }
-
-  // An immutable snapshot of the current state behind the common
-  // SelectivityEstimator interface: the frozen instance answers
-  // EstimateSelectivity with exactly Estimate(query).estimate as of the
-  // freeze point, is safe for concurrent const callers (the progressive
-  // estimator itself is not, its lazy sort mutates under const), and is
-  // what the live server publishes as a served generation. Requires at
-  // least two samples (the bandwidth fit needs them).
-  StatusOr<std::unique_ptr<SelectivityEstimator>> Freeze() const;
 
   // Kernel-based progressive estimate. `confidence` in (0, 1). Requires at
   // least two samples; with fewer, returns the trivial [0, 1] interval.

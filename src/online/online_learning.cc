@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/density/equal_width_grid.h"
 #include "src/est/estimator_snapshot.h"
 
 namespace selest {
@@ -47,12 +48,8 @@ StatusOr<OnlineLearningEstimator> OnlineLearningEstimator::CreateFromSample(
   // the multiplicative update can still move any bin.
   std::vector<double>& weights = estimator->weights_;
   std::vector<double> counts(weights.size(), 0.0);
-  const double bin_width = domain.width() / options.num_bins;
-  for (double v : sample) {
-    auto bin = static_cast<long>((domain.Clamp(v) - domain.lo) / bin_width);
-    bin = std::clamp<long>(bin, 0, options.num_bins - 1);
-    counts[static_cast<size_t>(bin)] += 1.0;
-  }
+  const EqualWidthGrid grid{domain, weights.size()};
+  for (double v : sample) counts[grid.BinOf(v)] += 1.0;
   const double denom =
       static_cast<double>(sample.size()) + static_cast<double>(weights.size());
   for (size_t i = 0; i < weights.size(); ++i) {
@@ -61,30 +58,8 @@ StatusOr<OnlineLearningEstimator> OnlineLearningEstimator::CreateFromSample(
   return estimator;
 }
 
-double OnlineLearningEstimator::Overlap(size_t i, double a, double b) const {
-  const double bin_width = domain_.width() / weights_.size();
-  const double lo = domain_.lo + i * bin_width;
-  const double hi = lo + bin_width;
-  const double overlap = std::min(b, hi) - std::max(a, lo);
-  return overlap <= 0.0 ? 0.0 : overlap / bin_width;
-}
-
 double OnlineLearningEstimator::EstimateSelectivity(double a, double b) const {
-  a = domain_.Clamp(a);
-  b = domain_.Clamp(b);
-  // Clamp passes NaN through; one guard rejects NaN, inverted, and
-  // degenerate ranges (±inf clamps to the domain edges).
-  if (!(a < b)) return 0.0;
-  const double bin_width = domain_.width() / weights_.size();
-  const auto first = static_cast<size_t>((a - domain_.lo) / bin_width);
-  double mass = 0.0;
-  for (size_t i = std::min(first, weights_.size() - 1); i < weights_.size();
-       ++i) {
-    const double fraction = Overlap(i, a, b);
-    if (fraction <= 0.0 && domain_.lo + i * bin_width > b) break;
-    mass += fraction * weights_[i];
-  }
-  return std::clamp(mass, 0.0, 1.0);
+  return EqualWidthGrid{domain_, weights_.size()}.Selectivity(weights_, a, b);
 }
 
 void OnlineLearningEstimator::EstimateSelectivityBatch(
@@ -123,9 +98,10 @@ Status OnlineLearningEstimator::ObserveTrueSelectivity(
   // error stays in [-1, 1], bounding the exponent by 2η.
   const double scale = std::max({estimate, true_selectivity, 1e-9});
   const double relative_error = error / scale;
+  const EqualWidthGrid grid{domain_, weights_.size()};
   double total = 0.0;
   for (size_t i = 0; i < weights_.size(); ++i) {
-    const double fraction = Overlap(i, a, b);
+    const double fraction = grid.Overlap(i, a, b);
     if (fraction > 0.0) {
       const double gradient = 2.0 * relative_error * fraction;
       const double exponent =
@@ -166,26 +142,20 @@ double OnlineLearningEstimator::BestFixedHindsightLoss() const {
   // and renormalization, from the uniform start.
   constexpr int kFitSweeps = 32;
   std::vector<double> fit(weights_.size(), 1.0 / weights_.size());
-  const double bin_width = domain_.width() / fit.size();
-  const auto overlap = [&](size_t i, double a, double b) {
-    const double lo = domain_.lo + i * bin_width;
-    const double hi = lo + bin_width;
-    const double width = std::min(b, hi) - std::max(a, lo);
-    return width <= 0.0 ? 0.0 : width / bin_width;
-  };
+  const EqualWidthGrid grid{domain_, fit.size()};
   for (int sweep = 0; sweep < kFitSweeps; ++sweep) {
     for (const Round& round : history_) {
       double estimate = 0.0;
       double sum_sq = 0.0;
       for (size_t i = 0; i < fit.size(); ++i) {
-        const double fraction = overlap(i, round.a, round.b);
+        const double fraction = grid.Overlap(i, round.a, round.b);
         estimate += fraction * fit[i];
         sum_sq += fraction * fraction;
       }
       if (sum_sq <= 0.0) continue;
       const double step = (round.true_selectivity - estimate) / sum_sq;
       for (size_t i = 0; i < fit.size(); ++i) {
-        const double fraction = overlap(i, round.a, round.b);
+        const double fraction = grid.Overlap(i, round.a, round.b);
         if (fraction > 0.0) fit[i] = std::max(0.0, fit[i] + step * fraction);
       }
     }
@@ -199,7 +169,7 @@ double OnlineLearningEstimator::BestFixedHindsightLoss() const {
   for (const Round& round : history_) {
     double estimate = 0.0;
     for (size_t i = 0; i < fit.size(); ++i) {
-      estimate += overlap(i, round.a, round.b) * fit[i];
+      estimate += grid.Overlap(i, round.a, round.b) * fit[i];
     }
     estimate = std::clamp(estimate, 0.0, 1.0);
     const double error = estimate - round.true_selectivity;

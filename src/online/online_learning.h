@@ -105,9 +105,6 @@ class OnlineLearningEstimator : public SelectivityEstimator {
                           std::vector<double> weights)
       : domain_(domain), options_(options), weights_(std::move(weights)) {}
 
-  // Fraction of bin i covered by [a, b].
-  double Overlap(size_t i, double a, double b) const;
-
   Domain domain_;
   OnlineLearningOptions options_;
   std::vector<double> weights_;  // simplex: Σ = 1, each > 0

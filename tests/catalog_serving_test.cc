@@ -1,6 +1,6 @@
 // The serving catalog: cache/snapshot/rebuild resolution, counters, LRU
-// eviction, the warmed-sweep eval entry point, and thread safety of the
-// serve path (run under tsan via the `catalog` label).
+// eviction, a served sweep scored bit-identically to RunConfigsParallel, and
+// thread safety of the serve path (run under tsan via the `catalog` label).
 #include <atomic>
 #include <memory>
 #include <string>
@@ -224,6 +224,21 @@ TEST(CatalogServingTest, ServingCacheTracksBytesAndReplacement) {
   EXPECT_NE(cache.Lookup(b), nullptr);
 }
 
+// One served sweep cell: registers `config` for the sweep column, resolves
+// it through the catalog (cache → snapshot → rebuild) and scores it.
+StatusOr<ErrorReport> ServeAndScore(Catalog& catalog,
+                                    const ExperimentSetup& setup,
+                                    const EstimatorConfig& config) {
+  SELEST_ASSIGN_OR_RETURN(
+      const CatalogKey key,
+      catalog.RegisterColumn("sweep", "v", setup.domain(), setup.sample,
+                             config));
+  SELEST_ASSIGN_OR_RETURN(
+      const std::shared_ptr<const SelectivityEstimator> estimator,
+      catalog.GetEstimator(key));
+  return EvaluateParallel(*estimator, setup.queries, GroundTruth(*setup.data));
+}
+
 TEST(CatalogServingTest, ServedSweepMatchesParallelSweepBitForBit) {
   const Domain domain = BitDomain(12);
   Rng rng(2026);
@@ -245,6 +260,7 @@ TEST(CatalogServingTest, ServedSweepMatchesParallelSweepBitForBit) {
   const std::vector<EstimatorConfig> configs{ewh, kernel, ash};
 
   const auto direct = RunConfigsParallel(setup, configs);
+  ASSERT_EQ(direct.size(), configs.size());
 
   const std::string dir = FreshDir("selest_served_sweep");
   Catalog catalog(CatalogOptions{dir});
@@ -252,29 +268,26 @@ TEST(CatalogServingTest, ServedSweepMatchesParallelSweepBitForBit) {
   // second serves cache hits (and disk snapshots through a fresh catalog
   // below) — all three paths must agree bit for bit.
   for (int pass = 0; pass < 2; ++pass) {
-    const auto served =
-        RunConfigsServed(catalog, "sweep", "v", setup, configs);
-    ASSERT_EQ(served.size(), direct.size());
-    for (size_t i = 0; i < served.size(); ++i) {
-      ASSERT_TRUE(served[i].ok());
+    for (size_t i = 0; i < configs.size(); ++i) {
+      const auto served = ServeAndScore(catalog, setup, configs[i]);
+      ASSERT_TRUE(served.ok());
       ASSERT_TRUE(direct[i].ok());
-      EXPECT_EQ(served[i].value().mean_relative_error,
+      EXPECT_EQ(served.value().mean_relative_error,
                 direct[i].value().mean_relative_error)
           << "pass " << pass << " config " << i;
-      EXPECT_EQ(served[i].value().mean_absolute_error,
+      EXPECT_EQ(served.value().mean_absolute_error,
                 direct[i].value().mean_absolute_error);
-      EXPECT_EQ(served[i].value().max_relative_error,
+      EXPECT_EQ(served.value().max_relative_error,
                 direct[i].value().max_relative_error);
     }
   }
   EXPECT_EQ(catalog.serve_stats().rebuilds, configs.size());
 
   Catalog snapshot_served(CatalogOptions{dir});
-  const auto from_disk =
-      RunConfigsServed(snapshot_served, "sweep", "v", setup, configs);
-  for (size_t i = 0; i < from_disk.size(); ++i) {
-    ASSERT_TRUE(from_disk[i].ok());
-    EXPECT_EQ(from_disk[i].value().mean_relative_error,
+  for (size_t i = 0; i < configs.size(); ++i) {
+    const auto from_disk = ServeAndScore(snapshot_served, setup, configs[i]);
+    ASSERT_TRUE(from_disk.ok());
+    EXPECT_EQ(from_disk.value().mean_relative_error,
               direct[i].value().mean_relative_error);
   }
   EXPECT_EQ(snapshot_served.serve_stats().snapshot_loads, configs.size());

@@ -18,7 +18,6 @@
 #include "src/data/domain.h"
 #include "src/est/equi_width_histogram.h"
 #include "src/est/estimator_snapshot.h"
-#include "src/online/online_estimator.h"
 #include "src/query/range_query.h"
 #include "src/util/random.h"
 
@@ -203,21 +202,6 @@ TEST(StreamingBuildTest, MmapSourceBuildsIdenticallyToInMemory) {
         << "chunk=" << chunk_rows;
   }
   std::remove(path.c_str());
-}
-
-TEST(StreamingBuildTest, OnlineEstimatorIngestsFromSource) {
-  const Dataset data = TestData();
-  OnlineSelectivityEstimator from_rows(data.domain());
-  from_rows.AddSamples(data.values());
-  OnlineSelectivityEstimator from_source(data.domain());
-  InMemoryColumnSource source(data, 64);
-  EXPECT_EQ(from_source.AddFromSource(source), data.size());
-  const RangeQuery query{200.0, 600.0};
-  const IntervalEstimate a = from_rows.Estimate(query);
-  const IntervalEstimate b = from_source.Estimate(query);
-  EXPECT_EQ(a.estimate, b.estimate);
-  EXPECT_EQ(a.lo, b.lo);
-  EXPECT_EQ(a.hi, b.hi);
 }
 
 }  // namespace

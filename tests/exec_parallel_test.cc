@@ -83,7 +83,7 @@ TEST(ExecParallelTest, ReportsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ExecParallelTest, RunConfigMatchesSerialRunConfigParallel) {
+TEST(ExecParallelTest, RunConfigMatchesSerialSweep) {
   const Dataset data = MakeData(12);
   ProtocolConfig protocol;
   protocol.sample_size = 500;
@@ -94,12 +94,13 @@ TEST(ExecParallelTest, RunConfigMatchesSerialRunConfigParallel) {
   config.boundary = BoundaryPolicy::kBoundaryKernel;
 
   const auto via_default = RunConfig(setup, config);
-  ParallelExecOptions serial;
-  serial.threads = 1;
-  const auto via_serial = RunConfigParallel(setup, config, serial);
+  const std::vector<EstimatorConfig> configs{config};
+  const auto via_serial =
+      RunConfigsParallel(setup, configs, ParallelExecOptions{.threads = 1});
   ASSERT_TRUE(via_default.ok());
-  ASSERT_TRUE(via_serial.ok());
-  ExpectBitIdentical(*via_default, *via_serial);
+  ASSERT_EQ(via_serial.size(), 1u);
+  ASSERT_TRUE(via_serial[0].ok());
+  ExpectBitIdentical(*via_default, *via_serial[0]);
 }
 
 TEST(ExecParallelTest, SweepPropagatesPerConfigBuildFailures) {

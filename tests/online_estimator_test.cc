@@ -142,44 +142,5 @@ TEST(OnlineEstimatorTest, AddSamplesMatchesAddSampleLoop) {
   EXPECT_EQ(batched.samples_seen(), looped.samples_seen());
 }
 
-TEST(OnlineEstimatorTest, FreezeNeedsTwoSamples) {
-  OnlineSelectivityEstimator est(kDomain);
-  EXPECT_EQ(est.Freeze().status().code(), StatusCode::kFailedPrecondition);
-  est.AddSample(10.0);
-  EXPECT_EQ(est.Freeze().status().code(), StatusCode::kFailedPrecondition);
-  est.AddSample(20.0);
-  EXPECT_TRUE(est.Freeze().ok());
-}
-
-TEST(OnlineEstimatorTest, FrozenSnapshotMatchesProgressiveEstimate) {
-  Rng rng(12);
-  OnlineSelectivityEstimator est(kDomain);
-  for (int i = 0; i < 400; ++i) est.AddSample(100.0 * rng.NextDouble());
-  auto frozen = est.Freeze();
-  ASSERT_TRUE(frozen.ok());
-  for (double a = 0.0; a < 90.0; a += 7.0) {
-    const RangeQuery q{a, a + 12.0};
-    // The frozen instance answers through the common interface with
-    // exactly the progressive estimate as of the freeze point.
-    EXPECT_EQ(frozen.value()->EstimateSelectivity(q.a, q.b),
-              est.Estimate(q).estimate);
-  }
-  EXPECT_EQ(frozen.value()->name(), "online(400)");
-  EXPECT_EQ(frozen.value()->StorageBytes(), 400u * sizeof(double));
-}
-
-TEST(OnlineEstimatorTest, FrozenSnapshotIsImmutableUnderLaterIngest) {
-  Rng rng(13);
-  OnlineSelectivityEstimator est(kDomain);
-  for (int i = 0; i < 100; ++i) est.AddSample(100.0 * rng.NextDouble());
-  auto frozen = est.Freeze();
-  ASSERT_TRUE(frozen.ok());
-  const RangeQuery q{30.0, 60.0};
-  const double before = frozen.value()->EstimateSelectivity(q.a, q.b);
-  for (int i = 0; i < 1000; ++i) est.AddSample(100.0 * rng.NextDouble());
-  EXPECT_EQ(frozen.value()->EstimateSelectivity(q.a, q.b), before);
-  EXPECT_NE(est.samples_seen(), 100u);
-}
-
 }  // namespace
 }  // namespace selest
