@@ -1,13 +1,17 @@
 // Micro-benchmark: estimator construction cost from a sample.
 //
-// Catalog maintenance rebuilds estimators when statistics refresh; this
-// measures build cost as a function of the sample size for each family,
-// including the smoothing-rule cost (the O(n²) direct plug-in is the
-// expensive outlier).
+// A live-server refresh rebuilds non-mergeable estimators from the
+// reservoir; this measures build cost as a function of the sample size for
+// each family, including the smoothing-rule cost (the O(n²) direct plug-in
+// is the expensive outlier). Next to each build, BM_SnapshotLoad_<kind>
+// decodes a snapshot of the same build from in-memory bytes (file IO
+// excluded): the serialize-clone a merge refresh or a feedback publish
+// pays, and what a restart from a proven snapshot pays instead of a build.
 #include <benchmark/benchmark.h>
 
 #include "src/data/domain.h"
 #include "src/est/estimator_factory.h"
+#include "src/est/estimator_snapshot.h"
 #include "src/smoothing/direct_plug_in.h"
 #include "src/util/random.h"
 
@@ -36,35 +40,45 @@ void BuildBenchmark(benchmark::State& state, EstimatorKind kind) {
   }
 }
 
-void BM_BuildEquiWidth(benchmark::State& state) {
-  BuildBenchmark(state, EstimatorKind::kEquiWidth);
+void SnapshotLoadBenchmark(benchmark::State& state, EstimatorKind kind) {
+  EstimatorConfig config;
+  config.kind = kind;
+  auto built = BuildEstimator(
+      MakeSample(static_cast<size_t>(state.range(0))), kDomain, config);
+  if (!built.ok()) {
+    state.SkipWithError(built.status().ToString().c_str());
+    return;
+  }
+  auto bytes = SnapshotEstimator(*built.value());
+  if (!bytes.ok()) {
+    state.SkipWithError(bytes.status().ToString().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    auto loaded = LoadEstimatorSnapshot(bytes.value());
+    benchmark::DoNotOptimize(loaded);
+  }
+  state.counters["snapshot_bytes"] =
+      static_cast<double>(bytes.value().size());
 }
-BENCHMARK(BM_BuildEquiWidth)->Range(1 << 8, 1 << 15);
 
-void BM_BuildEquiDepth(benchmark::State& state) {
-  BuildBenchmark(state, EstimatorKind::kEquiDepth);
-}
-BENCHMARK(BM_BuildEquiDepth)->Range(1 << 8, 1 << 15);
+// BM_Build<name> and BM_SnapshotLoad_<name> over the same sample sizes.
+#define BUILD_AND_LOAD(name, kind, max_size)                               \
+  void BM_Build##name(benchmark::State& state) {                           \
+    BuildBenchmark(state, EstimatorKind::kind);                            \
+  }                                                                        \
+  BENCHMARK(BM_Build##name)->Range(1 << 8, max_size);                      \
+  void BM_SnapshotLoad_##name(benchmark::State& state) {                   \
+    SnapshotLoadBenchmark(state, EstimatorKind::kind);                     \
+  }                                                                        \
+  BENCHMARK(BM_SnapshotLoad_##name)->Range(1 << 8, max_size)
 
-void BM_BuildMaxDiff(benchmark::State& state) {
-  BuildBenchmark(state, EstimatorKind::kMaxDiff);
-}
-BENCHMARK(BM_BuildMaxDiff)->Range(1 << 8, 1 << 15);
-
-void BM_BuildKernel(benchmark::State& state) {
-  BuildBenchmark(state, EstimatorKind::kKernel);
-}
-BENCHMARK(BM_BuildKernel)->Range(1 << 8, 1 << 15);
-
-void BM_BuildHybrid(benchmark::State& state) {
-  BuildBenchmark(state, EstimatorKind::kHybrid);
-}
-BENCHMARK(BM_BuildHybrid)->Range(1 << 8, 1 << 13);
-
-void BM_BuildAsh(benchmark::State& state) {
-  BuildBenchmark(state, EstimatorKind::kAverageShifted);
-}
-BENCHMARK(BM_BuildAsh)->Range(1 << 8, 1 << 15);
+BUILD_AND_LOAD(EquiWidth, kEquiWidth, 1 << 15);
+BUILD_AND_LOAD(EquiDepth, kEquiDepth, 1 << 15);
+BUILD_AND_LOAD(MaxDiff, kMaxDiff, 1 << 15);
+BUILD_AND_LOAD(Kernel, kKernel, 1 << 15);
+BUILD_AND_LOAD(Hybrid, kHybrid, 1 << 13);
+BUILD_AND_LOAD(Ash, kAverageShifted, 1 << 15);
 
 void BM_DirectPlugInBandwidth(benchmark::State& state) {
   const auto sample = MakeSample(static_cast<size_t>(state.range(0)));

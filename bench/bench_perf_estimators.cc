@@ -671,10 +671,10 @@ BENCHMARK(BM_Fig12SweepWallClock)
 }  // namespace
 }  // namespace selest
 
-// Custom main instead of benchmark_main (mirrors bench_perf_catalog):
-// unless the caller already chose a report destination, results also land
-// in BENCH_estimators.json so every run leaves a machine-readable artifact
-// that tools/bench_diff.py can compare against a previous build's file.
+// Custom main instead of benchmark_main: unless the caller already chose a
+// report destination, results also land in BENCH_estimators.json so every
+// run leaves a machine-readable artifact that tools/bench_diff.py can
+// compare against a previous build's file.
 // The host's detected SIMD tier is recorded in the JSON context block.
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);

@@ -53,7 +53,7 @@ int main() {
   const double n = static_cast<double>(relation->num_records());
   std::printf("relation orders: %zu records\n\n", relation->num_records());
 
-  // Catalog construction: one kernel estimator per column, built from a
+  // Statistics construction: one kernel estimator per column, built from a
   // 2,000-record sample each.
   Rng sampler = rng.Fork();
   EstimatorConfig config;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -14,8 +15,9 @@ namespace selest {
 // Per-column state. The serving side is the atomic `current` pointer and
 // the relaxed counters; everything the ingest side mutates lives behind
 // `ingest_mutex`. A refresh holds the mutex only while capturing its
-// inputs (a snapshot of the accumulator or a copy of the reservoir), never
-// while building or flipping, so ingest stalls are bounded by a memcpy.
+// inputs (a snapshot of the accumulator, or a copy of the reservoir and
+// the feedback ring), never while building, replaying or flipping, so
+// ingest stalls are bounded by a memcpy.
 struct LiveStatisticsServer::Column {
   Column(std::string relation_name, std::string attribute_name,
          const Domain& column_domain, const EstimatorConfig& column_config,
@@ -44,12 +46,16 @@ struct LiveStatisticsServer::Column {
   // reservoir).
   std::unique_ptr<SelectivityEstimator> accumulator;
   DecayingReservoir reservoir;
+  // The newest query-feedback observations, oldest first; every rebuild
+  // replays them so a refresh keeps what the learner learned.
+  std::vector<FeedbackObservation> feedback;
   uint64_t total_rows = 0;  // registration rows + accepted ingest rows
   // Durable ingest log; null when LiveServerOptions::wal_directory is
   // empty. Guarded by ingest_mutex like the rest of the ingest side.
   std::unique_ptr<WriteAheadLog> wal;
 
-  // At most one refresh per column at a time; losers coalesce.
+  // At most one refresh or feedback publish per column at a time;
+  // refresh triggers that lose the claim coalesce into its holder.
   std::atomic<bool> refresh_in_flight{false};
 
   std::atomic<ServerHealth> health{ServerHealth::kHealthy};
@@ -85,6 +91,20 @@ struct LiveStatisticsServer::Column {
   mutable std::mutex history_mutex;
   std::vector<std::shared_ptr<const LiveGeneration>> history;
 };
+
+namespace {
+
+// Replays feedback in ring order onto a fresh build.
+Status ReplayFeedback(SelectivityEstimator& estimator,
+                      std::span<const FeedbackObservation> ring) {
+  for (const FeedbackObservation& observation : ring) {
+    SELEST_RETURN_IF_ERROR(estimator.ObserveTrueSelectivity(
+        observation.query, observation.true_selectivity));
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 const char* ServerHealthName(ServerHealth health) {
   switch (health) {
@@ -173,9 +193,9 @@ Status LiveStatisticsServer::RegisterColumn(const std::string& relation,
   generation->built_at_ticks = Now();
   generation->rows_at_build = initial_rows.size();
   generation->merged = false;
-  const uint64_t covered =
+  generation->covered_sequence =
       column->wal != nullptr ? column->wal->last_sequence() : 0;
-  Publish(column, std::move(generation), covered);
+  Publish(column, std::move(generation));
 
   std::lock_guard<std::mutex> lock(registry_mutex_);
   columns_.insert_or_assign(std::make_pair(relation, attribute),
@@ -230,6 +250,10 @@ Status LiveStatisticsServer::RecoverColumn(const std::string& relation,
     const std::span<const double> view = column->reservoir.values();
     const std::vector<double> rows(view.begin(), view.end());
     SELEST_ASSIGN_OR_RETURN(serving, BuildEstimator(rows, domain, config));
+    // The same replay a rebuild refresh runs: recovery equals a refresh
+    // at the crash point.
+    SELEST_RETURN_IF_ERROR(ReplayFeedback(*serving, recovered.feedback));
+    column->feedback = std::move(recovered.feedback);
   }
   column->wal = std::move(wal);
   column->recovered = true;
@@ -244,7 +268,8 @@ Status LiveStatisticsServer::RecoverColumn(const std::string& relation,
   generation->built_at_ticks = Now();
   generation->rows_at_build = recovered.total_rows;
   generation->merged = merged;
-  Publish(column, std::move(generation), recovered.last_sequence);
+  generation->covered_sequence = recovered.last_sequence;
+  Publish(column, std::move(generation));
 
   std::lock_guard<std::mutex> lock(registry_mutex_);
   columns_.insert_or_assign(std::make_pair(relation, attribute),
@@ -254,8 +279,7 @@ Status LiveStatisticsServer::RecoverColumn(const std::string& relation,
 
 void LiveStatisticsServer::Publish(
     const std::shared_ptr<Column>& column,
-    std::shared_ptr<const LiveGeneration> generation,
-    uint64_t covered_sequence) {
+    std::shared_ptr<const LiveGeneration> generation) {
   column->current.store(generation);
   column->ttl_anchor_ticks.store(generation->built_at_ticks,
                                  std::memory_order_relaxed);
@@ -291,8 +315,8 @@ void LiveStatisticsServer::Publish(
     const Status marked = [&]() -> Status {
       SELEST_RETURN_IF_ERROR(column->wal->Append(
           WalRecordType::kSnapshotMark,
-          EncodeSnapshotMark(covered_sequence, generation->number,
-                             file_crc)));
+          EncodeSnapshotMark(generation->covered_sequence,
+                             generation->number, file_crc)));
       return column->wal->Sync();
     }();
     if (!marked.ok()) {
@@ -319,7 +343,15 @@ Status LiveStatisticsServer::Ingest(const std::string& relation,
         "ingest)");
   }
   std::vector<double> clamped(rows.begin(), rows.end());
-  for (double& v : clamped) v = column->domain.Clamp(v);
+  for (double& v : clamped) {
+    // Clamp passes NaN through, and a logged NaN would fail every later
+    // rebuild and recovery of the column: reject the batch before the log.
+    if (std::isnan(v)) {
+      return InvalidArgumentError("ingest batch for " + relation + "." +
+                                  attribute + " holds a NaN row");
+    }
+    v = column->domain.Clamp(v);
+  }
 
   bool threshold_hit = false;
   {
@@ -473,23 +505,91 @@ Status LiveStatisticsServer::MaybeTriggerRefresh(
   ThreadPool* pool =
       options_.pool != nullptr ? options_.pool : &ThreadPool::Default();
   pool->Schedule([this, column]() {
-    const Status status = DoRefresh(column);
-    column->refresh_in_flight.store(false);
-    // Threshold triggers that arrived mid-refresh coalesced into this
-    // refresh, which published only the rows it captured: re-check the
-    // backlog and schedule the follow-up before pending_refreshes_ drops,
-    // so WaitForRefreshes covers it. Not after a failure, so a failing
-    // column cannot spin; its next ingest or the TTL retries.
-    const uint64_t backlog =
-        column->rows_since_refresh.load(std::memory_order_relaxed);
-    if (status.ok() && options_.refresh_ingest_rows > 0 &&
-        backlog >= options_.refresh_ingest_rows) {
-      (void)MaybeTriggerRefresh(column, &column->threshold_refreshes);
-    }
+    // The follow-up a release may schedule is counted before
+    // pending_refreshes_ drops, so WaitForRefreshes covers it.
+    ReleaseRefreshClaim(column, DoRefresh(column).ok());
     std::lock_guard<std::mutex> lock(refresh_mutex_);
     --pending_refreshes_;
     refresh_cv_.notify_all();
   });
+  return Status::Ok();
+}
+
+void LiveStatisticsServer::ReleaseRefreshClaim(
+    const std::shared_ptr<Column>& column, bool succeeded) {
+  column->refresh_in_flight.store(false);
+  // Threshold triggers that arrived while the claim was held coalesced
+  // into it, but its holder published only what it captured: re-check the
+  // backlog. Not after a failure, so a failing column cannot spin; its
+  // next ingest or the TTL retries.
+  if (succeeded && options_.refresh_ingest_rows > 0 &&
+      column->rows_since_refresh.load(std::memory_order_relaxed) >=
+          options_.refresh_ingest_rows) {
+    (void)MaybeTriggerRefresh(column, &column->threshold_refreshes);
+  }
+}
+
+Status LiveStatisticsServer::ObserveTrueSelectivity(
+    const std::string& relation, const std::string& attribute,
+    const RangeQuery& query, double true_selectivity) {
+  const std::shared_ptr<Column> column = FindColumn(relation, attribute);
+  if (column == nullptr) {
+    return NotFoundError("no live registration for " + relation + "." +
+                         attribute);
+  }
+  // The refresh claim keeps feedback and refreshes apart: a rebuild never
+  // captures a ring that misses a published observation, and two
+  // observations never clone the same generation.
+  while (column->refresh_in_flight.exchange(true)) std::this_thread::yield();
+  const Status status = PublishFeedback(column, {query, true_selectivity});
+  ReleaseRefreshClaim(column, status.ok());
+  return status;
+}
+
+Status LiveStatisticsServer::PublishFeedback(
+    const std::shared_ptr<Column>& column,
+    const FeedbackObservation& observation) {
+  if (column->health.load(std::memory_order_relaxed) ==
+      ServerHealth::kReadOnly) {
+    return FailedPreconditionError(
+        column->relation + "." + column->attribute +
+        " is read-only after repeated WAL failures; feedback is rejected "
+        "(ResetColumnHealth to re-enable it)");
+  }
+  const std::shared_ptr<const LiveGeneration> current =
+      column->current.load();
+  // The merge path rebuilds nothing, so it could not replay the ring.
+  if (column->accumulator != nullptr) {
+    return FailedPreconditionError(
+        "estimator \"" + current->estimator->name() + "\" for " +
+        column->relation + "." + column->attribute +
+        " merges ingest and does not accept query feedback");
+  }
+  // Observe on a private clone; readers keep answering from `current`. A
+  // kind without feedback or a bad value fails here, before the log.
+  SELEST_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
+                          SnapshotEstimator(*current->estimator));
+  SELEST_ASSIGN_OR_RETURN(std::unique_ptr<SelectivityEstimator> next,
+                          LoadEstimatorSnapshot(bytes));
+  SELEST_RETURN_IF_ERROR(next->ObserveTrueSelectivity(
+      observation.query, observation.true_selectivity));
+  {
+    std::lock_guard<std::mutex> lock(column->ingest_mutex);
+    if (column->wal != nullptr) {
+      // Logged under Ingest's sync policy and health accounting.
+      const Status logged = column->wal->Append(WalRecordType::kFeedback,
+                                                EncodeFeedback(observation));
+      NoteWalResult(column, logged.ok());
+      SELEST_RETURN_IF_ERROR(logged);
+    }
+    PushFeedback(column->feedback, observation);
+  }
+  auto generation = std::make_shared<LiveGeneration>(*current);
+  generation->estimator =
+      std::shared_ptr<const SelectivityEstimator>(std::move(next));
+  generation->number = current->number + 1;
+  generation->built_at_ticks = Now();
+  Publish(column, std::move(generation));
   return Status::Ok();
 }
 
@@ -542,12 +642,15 @@ Status LiveStatisticsServer::DoRefresh(const std::shared_ptr<Column>& column) {
       merged = true;
     } else {
       // Rebuild path: full build from the current reservoir contents
-      // (honors the est/build fault point).
+      // (honors the est/build fault point), then the feedback ring
+      // replayed in order.
       std::vector<double> rows;
+      std::vector<FeedbackObservation> feedback;
       {
         std::lock_guard<std::mutex> lock(column->ingest_mutex);
         const std::span<const double> view = column->reservoir.values();
         rows.assign(view.begin(), view.end());
+        feedback = column->feedback;
         rows_at_build = column->total_rows;
         rows_folded =
             column->rows_since_refresh.load(std::memory_order_relaxed);
@@ -558,6 +661,9 @@ Status LiveStatisticsServer::DoRefresh(const std::shared_ptr<Column>& column) {
       }
       SELEST_ASSIGN_OR_RETURN(
           next, BuildEstimator(rows, column->domain, column->config));
+      // Outside the mutex: a full reconstructed ring can take a few hundred
+      // milliseconds, since each unsatisfied observation re-solves.
+      SELEST_RETURN_IF_ERROR(ReplayFeedback(*next, feedback));
     }
     auto generation = std::make_shared<LiveGeneration>();
     generation->estimator =
@@ -566,7 +672,8 @@ Status LiveStatisticsServer::DoRefresh(const std::shared_ptr<Column>& column) {
     generation->built_at_ticks = Now();
     generation->rows_at_build = rows_at_build;
     generation->merged = merged;
-    Publish(column, std::move(generation), covered_sequence);
+    generation->covered_sequence = covered_sequence;
+    Publish(column, std::move(generation));
     column->refreshes.fetch_add(1, std::memory_order_relaxed);
     if (merged) {
       column->merge_refreshes.fetch_add(1, std::memory_order_relaxed);

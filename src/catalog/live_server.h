@@ -1,9 +1,9 @@
-// The live statistics server: concurrent serving + incremental ingest.
+// The live statistics server: the one serving front for column statistics.
 //
-// The serving Catalog (statistics_catalog.h) is build-once/serve-many over
-// a fixed sample; in this layer rows keep arriving after the build and
-// estimates must stay fresh without readers ever blocking on a rebuild.
-// Per column it maintains
+// An optimizer registers a column's sample, reads estimates, and feeds
+// back the true selectivities of executed queries, while rows keep
+// arriving. Estimates must stay fresh without readers ever blocking on a
+// rebuild. Per column it maintains
 //
 //   * a served *generation*: an immutable estimator published through an
 //     atomic shared_ptr. Readers load the pointer, answer from that
@@ -15,6 +15,11 @@
 //     fixed-capacity decaying reservoir (sample/sampler.h) feeding full
 //     rebuilds of non-mergeable estimators. Neither grows with the number
 //     of rows ingested;
+//   * a bounded feedback ring: the newest kFeedbackRingCapacity
+//     (range, true selectivity) observations. ObserveTrueSelectivity
+//     publishes a clone of the served generation that has observed one
+//     more; every rebuild (refresh or recovery) replays the ring in order,
+//     so the learned state survives both;
 //   * a staleness policy: refresh after `refresh_ingest_rows` folded rows
 //     and/or when the serving generation is older than `ttl_ticks` by the
 //     injected clock, executed inline or in the background on the shared
@@ -23,14 +28,14 @@
 //     (util/retry.h), then leaves the old generation serving and bumps an
 //     error counter (graceful degradation, DESIGN.md §8);
 //   * optionally a per-column write-ahead log (durability/wal.h): Ingest
-//     appends and fsyncs the batch before folding it, so a crash loses
-//     nothing that was acknowledged. RecoverColumn rebuilds a column from
-//     its newest proven snapshot plus the WAL tail. Repeated WAL failures
-//     walk the column's health from healthy → degraded → read-only
-//     (ServerHealth).
+//     and ObserveTrueSelectivity append and fsync their record before
+//     applying it, so a crash loses nothing that was acknowledged.
+//     RecoverColumn rebuilds a column from its newest proven snapshot plus
+//     the WAL tail. Repeated WAL failures walk the column's health from
+//     healthy → degraded → read-only (ServerHealth).
 //
 // Generation lifecycle: DESIGN.md §10. Durability and the fsync-boundary
-// contract: DESIGN.md §11.
+// contract: DESIGN.md §11. The feedback write-back: DESIGN.md §14.3.
 #ifndef SELEST_CATALOG_LIVE_SERVER_H_
 #define SELEST_CATALOG_LIVE_SERVER_H_
 
@@ -140,6 +145,9 @@ struct LiveGeneration {
   // True when the generation was produced by the merge/fold path (no
   // rebuild); false for registration builds and reservoir rebuilds.
   bool merged = false;
+  // Newest WAL sequence whose rows the generation folds in; its snapshot
+  // mark carries it. A feedback publish keeps its base's value.
+  uint64_t covered_sequence = 0;
 };
 
 // A serve-path answer bound to the generation that produced it.
@@ -166,8 +174,8 @@ struct LiveColumnStats {
 
   // Durability & health (all zero / kHealthy when the WAL is disabled).
   ServerHealth health = ServerHealth::kHealthy;
-  uint64_t wal_appends = 0;        // batches made durable by Ingest
-  uint64_t wal_append_errors = 0;  // batches rejected at the WAL
+  uint64_t wal_appends = 0;        // ingest batches + feedback records logged
+  uint64_t wal_append_errors = 0;  // records rejected at the WAL
   uint64_t consecutive_wal_failures = 0;
   uint64_t wal_last_sequence = 0;  // newest durable WAL sequence
   uint64_t refresh_retries = 0;    // extra refresh attempts beyond the 1st
@@ -190,8 +198,9 @@ class LiveStatisticsServer {
 
   // Registers (relation, attribute) and publishes generation 1, built from
   // `initial_rows` exactly as BuildEstimator would (so a quiet column
-  // serves bit-identically to the serving Catalog). Replaces any previous
-  // registration of the same column.
+  // serves bit-identically to a direct build, and a sweep scored from it
+  // equals RunConfigsParallel). Every registered column stays resident.
+  // Replaces any previous registration of the same column.
   Status RegisterColumn(const std::string& relation,
                         const std::string& attribute, const Domain& domain,
                         const EstimatorConfig& config,
@@ -211,9 +220,10 @@ class LiveStatisticsServer {
 
   // Folds new rows into the column's ingest-side state: the mergeable
   // accumulator (exact or bounded-drift, per estimator type) and the
-  // reservoir. Values are clamped to the column's domain. Returns before
-  // any triggered background refresh completes; the served generation is
-  // unchanged until the flip.
+  // reservoir. Values are clamped to the column's domain (±inf to its
+  // edges); a batch holding a NaN is rejected whole with kInvalidArgument
+  // before it is logged. Returns before any triggered background refresh
+  // completes; the served generation is unchanged until the flip.
   Status Ingest(const std::string& relation, const std::string& attribute,
                 std::span<const double> rows);
 
@@ -248,6 +258,23 @@ class LiveStatisticsServer {
   StatusOr<ServedEstimate> EstimateDetailed(const std::string& relation,
                                             const std::string& attribute,
                                             const RangeQuery& query);
+
+  // Feedback write-back (DESIGN.md §14.3): folds the true selectivity of
+  // an executed query into the column's served estimator. Holds the
+  // column's refresh claim; observes on a snapshot clone of the current
+  // generation, logs a kFeedback record, pushes the observation onto the
+  // feedback ring and publishes the clone as the next generation.
+  // kNotFound for an unknown column; kFailedPrecondition for a read-only
+  // column or an estimator that does not take feedback (every mergeable
+  // kind); the estimator's kInvalidArgument for a bad value. A rejected
+  // call logs and publishes nothing. Releasing the claim re-checks the
+  // ingest backlog as a background refresh does, so a threshold crossed
+  // meanwhile starts its refresh here (inline when background_refresh is
+  // off).
+  Status ObserveTrueSelectivity(const std::string& relation,
+                                const std::string& attribute,
+                                const RangeQuery& query,
+                                double true_selectivity);
 
   // Forces a synchronous refresh (merge/fold clone for mergeable
   // estimators, reservoir rebuild otherwise) and publishes the new
@@ -313,12 +340,19 @@ class LiveStatisticsServer {
   // The refresh body: produce the next generation (with retry), flip,
   // write back.
   Status DoRefresh(const std::shared_ptr<Column>& column);
+  // Releases the refresh claim. After a successful refresh or feedback
+  // publish, re-checks the ingest backlog, so a threshold crossed while
+  // the claim was held is published without further ingest.
+  void ReleaseRefreshClaim(const std::shared_ptr<Column>& column,
+                           bool succeeded);
+  // The feedback body, run under the refresh claim.
+  Status PublishFeedback(const std::shared_ptr<Column>& column,
+                         const FeedbackObservation& observation);
   // Atomically flips the column to `generation` and persists it (snapshot
   // write-back with retry, then a WAL snapshot mark covering
-  // `covered_sequence`).
+  // `generation->covered_sequence`).
   void Publish(const std::shared_ptr<Column>& column,
-               std::shared_ptr<const LiveGeneration> generation,
-               uint64_t covered_sequence);
+               std::shared_ptr<const LiveGeneration> generation);
   void CheckStaleness(const std::shared_ptr<Column>& column);
   // Health transitions for a WAL write outcome.
   void NoteWalResult(const std::shared_ptr<Column>& column, bool ok);

@@ -37,7 +37,29 @@ std::string Hex(uint64_t value) {
   return text;
 }
 
+// FNV-1a over a string, continuing from `hash`.
+uint64_t MixString(uint64_t hash, const std::string& text) {
+  constexpr uint64_t kPrime = 1099511628211ull;
+  for (unsigned char c : text) {
+    hash ^= c;
+    hash *= kPrime;
+  }
+  // A separator byte so ("ab", "c") and ("a", "bc") hash differently.
+  hash ^= 0xFFu;
+  hash *= kPrime;
+  return hash;
+}
+
 }  // namespace
+
+size_t CatalogKeyHash::operator()(const CatalogKey& key) const {
+  constexpr uint64_t kOffsetBasis = 14695981039346656037ull;
+  uint64_t hash = MixString(kOffsetBasis, key.relation);
+  hash = MixString(hash, key.attribute);
+  hash ^= key.fingerprint;
+  hash *= 1099511628211ull;
+  return static_cast<size_t>(hash);
+}
 
 SnapshotStore::SnapshotStore(std::string directory)
     : directory_(std::move(directory)) {

@@ -1,10 +1,12 @@
-// The durable tier of the catalog: estimator snapshots as files.
+// The live server's durable tier: estimator snapshots as files.
 //
 // One file per CatalogKey, written atomically (temporary sibling +
 // rename), so readers never observe a torn snapshot. Corruption on disk —
 // truncation, bit flips, a future format version — surfaces as Status
-// from Get (see est/estimator_snapshot.h for the taxonomy); the catalog
-// reacts by rebuilding from the sample and writing back.
+// from Get (see est/estimator_snapshot.h for the taxonomy). The live
+// server writes every published generation back here; recovery
+// (durability/recovery_manager.h) loads a snapshot only when a WAL mark
+// proves it, and replays the log otherwise.
 #ifndef SELEST_CATALOG_SNAPSHOT_STORE_H_
 #define SELEST_CATALOG_SNAPSHOT_STORE_H_
 
@@ -13,11 +15,31 @@
 #include <memory>
 #include <string>
 
-#include "src/catalog/serving_cache.h"
 #include "src/est/selectivity_estimator.h"
 #include "src/util/status.h"
 
 namespace selest {
+
+// Identity of one persisted estimator: the column it summarizes plus the
+// fingerprint of the estimator configuration (see FingerprintConfig in
+// est/estimator_factory.h). Different configs over the same column get
+// distinct snapshot files and WAL directories.
+struct CatalogKey {
+  std::string relation;
+  std::string attribute;
+  uint64_t fingerprint = 0;
+
+  friend bool operator==(const CatalogKey& a, const CatalogKey& b) {
+    return a.fingerprint == b.fingerprint && a.relation == b.relation &&
+           a.attribute == b.attribute;
+  }
+};
+
+// FNV-1a over relation, attribute and fingerprint. LabelFor folds it into
+// every snapshot and WAL path, so changing it orphans existing files.
+struct CatalogKeyHash {
+  size_t operator()(const CatalogKey& key) const;
+};
 
 class SnapshotStore {
  public:

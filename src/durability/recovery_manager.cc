@@ -47,6 +47,33 @@ StatusOr<std::vector<double>> DecodeRowBatch(
   return rows;
 }
 
+std::vector<uint8_t> EncodeFeedback(const FeedbackObservation& observation) {
+  ByteWriter writer;
+  writer.WriteDouble(observation.query.a);
+  writer.WriteDouble(observation.query.b);
+  writer.WriteDouble(observation.true_selectivity);
+  return writer.TakeBytes();
+}
+
+StatusOr<FeedbackObservation> DecodeFeedback(
+    std::span<const uint8_t> payload) {
+  ByteReader reader(std::vector<uint8_t>(payload.begin(), payload.end()));
+  FeedbackObservation observation;
+  SELEST_ASSIGN_OR_RETURN(observation.query.a, reader.ReadDouble());
+  SELEST_ASSIGN_OR_RETURN(observation.query.b, reader.ReadDouble());
+  SELEST_ASSIGN_OR_RETURN(observation.true_selectivity, reader.ReadDouble());
+  if (!reader.AtEnd()) {
+    return InvalidArgumentError("feedback record has trailing bytes");
+  }
+  return observation;
+}
+
+void PushFeedback(std::vector<FeedbackObservation>& ring,
+                  const FeedbackObservation& observation) {
+  if (ring.size() == kFeedbackRingCapacity) ring.erase(ring.begin());
+  ring.push_back(observation);
+}
+
 StatusOr<RecoveredColumn> RecoveryManager::Recover(
     const CatalogKey& key, const WriteAheadLog& wal, const Domain& domain,
     const EstimatorConfig& config) const {
@@ -82,6 +109,16 @@ StatusOr<RecoveredColumn> RecoveryManager::Recover(
             SELEST_ASSIGN_OR_RETURN(std::vector<double> rows,
                                     DecodeRowBatch(record.payload));
             batches.emplace_back(record.sequence, std::move(rows));
+            return Status::Ok();
+          }
+          case WalRecordType::kFeedback: {
+            if (!registered) {
+              return DataLossError(
+                  "WAL feedback record precedes the registration record");
+            }
+            SELEST_ASSIGN_OR_RETURN(const FeedbackObservation observation,
+                                    DecodeFeedback(record.payload));
+            PushFeedback(recovered.feedback, observation);
             return Status::Ok();
           }
           case WalRecordType::kSnapshotMark: {

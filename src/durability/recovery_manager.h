@@ -20,7 +20,10 @@
 //      slower);
 //   4. non-mergeable estimators get no accumulator (the live server
 //      rebuilds from its reservoir, which it repopulates by replaying the
-//      same batches through the same seeded reservoir).
+//      same batches through the same seeded reservoir);
+//   5. the newest kFeedbackRingCapacity kFeedback records, in log order:
+//      the live server replays them onto that rebuild, so recovery
+//      equals a refresh at the crash point.
 //
 // Unreadable WAL segments were already quarantined by WriteAheadLog::Open
 // (rename, never delete); recovery reports their count so operators can
@@ -36,6 +39,7 @@
 #include "src/data/domain.h"
 #include "src/durability/wal.h"
 #include "src/est/estimator_factory.h"
+#include "src/query/range_query.h"
 #include "src/util/retry.h"
 
 namespace selest {
@@ -56,6 +60,24 @@ StatusOr<SnapshotMark> DecodeSnapshotMark(std::span<const uint8_t> payload);
 std::vector<uint8_t> EncodeRowBatch(std::span<const double> rows);
 StatusOr<std::vector<double>> DecodeRowBatch(std::span<const uint8_t> payload);
 
+// One query-feedback observation: the kFeedback payload and an entry of
+// the live server's per-column feedback ring.
+struct FeedbackObservation {
+  RangeQuery query;
+  double true_selectivity = 0.0;
+};
+std::vector<uint8_t> EncodeFeedback(const FeedbackObservation& observation);
+StatusOr<FeedbackObservation> DecodeFeedback(
+    std::span<const uint8_t> payload);
+
+// Observations a column keeps for replay onto every rebuild: the
+// reconstructed distribution's own constraint budget.
+constexpr size_t kFeedbackRingCapacity = 256;
+
+// Appends to a feedback ring, dropping the oldest entry beyond capacity.
+void PushFeedback(std::vector<FeedbackObservation>& ring,
+                  const FeedbackObservation& observation);
+
 struct RecoveryOptions {
   // Wraps the snapshot load; only transient errors retry, corruption
   // falls through to full replay immediately.
@@ -70,6 +92,8 @@ struct RecoveredColumn {
   // ingest order — the replay source for the reservoir.
   std::vector<double> registration_rows;
   std::vector<std::vector<double>> ingest_batches;
+  // The newest kFeedbackRingCapacity observations, in log order.
+  std::vector<FeedbackObservation> feedback;
   uint64_t total_rows = 0;
   uint64_t last_sequence = 0;
   // Recovery provenance, surfaced into LiveColumnStats.

@@ -95,7 +95,8 @@ std::vector<std::pair<uint64_t, std::string>> ListSegments(
 bool IsKnownType(uint32_t type) {
   return type == static_cast<uint32_t>(WalRecordType::kRegister) ||
          type == static_cast<uint32_t>(WalRecordType::kIngest) ||
-         type == static_cast<uint32_t>(WalRecordType::kSnapshotMark);
+         type == static_cast<uint32_t>(WalRecordType::kSnapshotMark) ||
+         type == static_cast<uint32_t>(WalRecordType::kFeedback);
 }
 
 // One segment's scan outcome: the records parsed off a valid prefix, the

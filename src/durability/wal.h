@@ -70,6 +70,11 @@ enum class WalRecordType : uint32_t {
   // leaves a newer file with no matching mark, which safely degrades to
   // full replay).
   kSnapshotMark = 3,
+  // One query-feedback observation (range bounds a, b and the true
+  // selectivity, three f64). Recovery replays the newest
+  // kFeedbackRingCapacity of them, in log order, onto the rebuilt
+  // estimator (durability/recovery_manager.h).
+  kFeedback = 4,
 };
 
 struct WalRecord {

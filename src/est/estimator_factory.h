@@ -74,8 +74,8 @@ struct EstimatorConfig {
 
 // A 64-bit digest of every config field (FNV-1a). Two configs fingerprint
 // equal iff they build the same estimator from the same sample, so the
-// catalog can key snapshots and cache entries by
-// (relation, attribute, fingerprint).
+// live server keys each column's snapshot file and WAL directory by
+// CatalogKey (relation, attribute, fingerprint).
 uint64_t FingerprintConfig(const EstimatorConfig& config);
 
 // Builds the configured estimator from a sample over `domain`.

@@ -4,8 +4,10 @@
 // samples, bin edges, precomputed strip tables), so loading one skips the
 // expensive parts of construction — sorting, quadrature, change-point
 // detection — yet answers every query bit-identically to the original
-// instance. The catalog (catalog/statistics_catalog.h) persists snapshots
-// to disk and serves deserialized estimators from a cache.
+// instance. The live server (catalog/live_server.h) writes every published
+// generation back as a snapshot (catalog/snapshot_store.h), and clones a
+// served estimator through a snapshot round trip before it observes
+// feedback.
 //
 // Layering: each concrete estimator owns its payload layout
 // (SerializeState / DeserializeState); this header owns the dispatch —

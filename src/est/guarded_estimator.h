@@ -100,7 +100,8 @@ class GuardedEstimator : public SelectivityEstimator {
   // feedback is repaired like a query (NaN→domain edge, inverted→swap) and
   // forwarded to every supporting link, so a fallback keeps learning even
   // while a poisoned primary is being skipped. Mutator — not part of the
-  // const thread-safety contract (the catalog write-back observes a clone).
+  // const thread-safety contract (the live server's write-back observes a
+  // clone).
   bool SupportsFeedback() const override;
   Status ObserveTrueSelectivity(const RangeQuery& query,
                                 double true_selectivity) override;

@@ -116,9 +116,13 @@ class SelectivityEstimator {
   // ObserveTrueSelectivity folds one (range, true-selectivity) observation
   // into the estimator's state. Like the merge contract above, observation
   // is a mutator and NOT part of the const thread-safety contract — the
-  // catalog's write-back path (catalog/statistics_catalog) observes on a
-  // private clone and publishes it atomically, so concurrent readers keep
-  // serving the previous immutable state.
+  // live server's write-back (LiveStatisticsServer::ObserveTrueSelectivity)
+  // observes on a private snapshot clone and publishes it as the next
+  // generation, so concurrent readers keep serving the previous immutable
+  // state. It also replays its feedback ring in order onto every rebuild,
+  // which relies on replay determinism: one build followed by the same
+  // observations in the same order lands on the same bits as the chain of
+  // clone-then-observe steps.
   //
   // Observation ordering matters: feedback estimators are online learners,
   // so permuting the observation sequence may change the state. The family

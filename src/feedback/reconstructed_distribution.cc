@@ -113,7 +113,11 @@ void ReconstructedDistributionEstimator::ApplyMaxEntropy(
     for (size_t i = 0; i < masses_.size(); ++i) {
       const double fraction = grid.Overlap(i, c.a, c.b);
       if (fraction <= 0.0) continue;
-      masses_[i] *= (1.0 - fraction) + fraction * factor;
+      // Clipped at 0 like the least-squares step: a fully covered bin's
+      // fraction can round to 1 + ε, and with a zero target (factor 0)
+      // the unclipped multiplier is −ε, a negative mass the snapshot
+      // loader rejects.
+      masses_[i] *= std::max(0.0, (1.0 - fraction) + fraction * factor);
     }
     return;
   }

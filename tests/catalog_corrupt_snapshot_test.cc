@@ -1,31 +1,30 @@
-// Corrupt-snapshot robustness: damaged snapshot bytes and files must
-// surface as Status (never a crash), with the code the envelope contract
-// promises, and the serving catalog must degrade to a rebuild + write-back
-// when its durable tier is damaged. Runs under both sanitizer presets via
-// the `robustness` and `catalog` labels.
+// Corrupt-snapshot robustness: damaged snapshot bytes must surface as
+// Status (never a crash), with the code the envelope contract promises,
+// and the live server must recover a column through a damaged or missing
+// snapshot file by replaying its log, then repair the file. Runs under
+// both sanitizer presets via the `robustness` and `catalog` labels.
 #include <algorithm>
-#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
-
-#include <filesystem>
 
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
-#include "src/catalog/statistics_catalog.h"
+#include "src/catalog/live_server.h"
 #include "src/data/domain.h"
 #include "src/est/estimator_factory.h"
 #include "src/est/estimator_snapshot.h"
+#include "src/query/range_query.h"
 #include "src/util/random.h"
 #include "src/util/serialize.h"
 
 namespace selest {
 namespace {
 
-// A per-test snapshot directory, cleared up front so state persisted by a
-// previous run (snapshots survive on purpose) cannot skew the counters.
+// A per-test directory, cleared up front so state persisted by a previous
+// run (snapshots and logs survive on purpose) cannot skew the result.
 std::string FreshDir(const std::string& name) {
   // Suffixed with the pid: each gtest case runs as its own ctest process,
   // and concurrent cases of the same binary must not share a directory.
@@ -160,104 +159,108 @@ TEST(CorruptSnapshotTest, EveryEstimatorKindSurvivesPayloadFlips) {
   }
 }
 
-TEST(CorruptSnapshotTest, CatalogRebuildsThroughCorruptSnapshot) {
-  const std::string dir = FreshDir("selest_corrupt_catalog");
-  const Domain domain = BitDomain(12);
-  const std::vector<double> sample = MakeSample(512, domain, 11);
+enum class SnapshotDamage { kFlipPayloadByte, kTruncate, kDelete };
+
+// A damaged or missing snapshot file proves no WAL mark, so recovery
+// replays the whole log instead: it serves bit for bit what the
+// never-crashed refresh served. Recovery's own write-back repairs the
+// file, so the next recovery takes the snapshot fast path again, and the
+// column stays live throughout.
+void ExpectRecoveryRebuildsThrough(SnapshotDamage damage,
+                                   const std::string& name) {
+  const std::string wal_dir = FreshDir(name + "_wal");
+  const std::string store_dir = FreshDir(name + "_store");
+  LiveServerOptions options;
+  options.background_refresh = false;
+  options.wal_directory = wal_dir;
+  options.snapshot_directory = store_dir;
+  options.retry.base_delay_ticks = 1;  // negligible real sleeping in tests
+  const Domain domain = BitDomain(10);
   EstimatorConfig config;
-  config.kind = EstimatorKind::kEquiDepth;
-
-  CatalogKey key;
-  {
-    // First catalog: cold build, write-back.
-    Catalog catalog(CatalogOptions{dir});
-    auto registered =
-        catalog.RegisterColumn("orders", "amount", domain, sample, config);
-    ASSERT_TRUE(registered.ok());
-    key = registered.value();
-    ASSERT_TRUE(catalog.Warm(key).ok());
-    EXPECT_EQ(catalog.serve_stats().rebuilds, 1u);
-    EXPECT_EQ(catalog.serve_stats().writebacks, 1u);
-  }
-
-  // Damage the snapshot file in place: flip a payload byte.
+  config.kind = EstimatorKind::kEquiWidth;
+  config.smoothing = SmoothingRule::kFixed;
+  config.fixed_smoothing = 16;
+  const std::vector<RangeQuery> queries = {
+      {0.0, 1023.0}, {150.0, 800.0}, {310.0, 330.0}, {990.0, 1023.0}};
+  std::vector<double> before;
   std::string path;
   {
-    Catalog catalog(CatalogOptions{dir});
-    auto registered =
-        catalog.RegisterColumn("orders", "amount", domain, sample, config);
-    ASSERT_TRUE(registered.ok());
-    path = catalog.store()->PathFor(key);
+    LiveStatisticsServer server(options);
+    ASSERT_TRUE(server
+                    .RegisterColumn("t", "x", domain, config,
+                                    MakeSample(300, domain, 40))
+                    .ok());
+    ASSERT_TRUE(server.Ingest("t", "x", MakeSample(60, domain, 41)).ok());
+    ASSERT_TRUE(server.Refresh("t", "x").ok());
+    for (const RangeQuery& query : queries) {
+      before.push_back(server.Estimate("t", "x", query).value());
+    }
+    path = server.store()->PathFor(
+        CatalogKey{"t", "x", FingerprintConfig(config)});
   }
+  auto bytes = ReadBytesFromFile(path);
+  ASSERT_TRUE(bytes.ok());
+  switch (damage) {
+    case SnapshotDamage::kFlipPayloadByte:
+      bytes.value()[bytes.value().size() / 2] ^= 0x20;
+      ASSERT_TRUE(WriteBytesToFile(path, bytes.value()).ok());
+      break;
+    case SnapshotDamage::kTruncate:
+      bytes.value().resize(bytes.value().size() / 3);
+      ASSERT_TRUE(WriteBytesToFile(path, bytes.value()).ok());
+      break;
+    case SnapshotDamage::kDelete:
+      ASSERT_TRUE(std::filesystem::remove(path));
+      break;
+  }
+
+  std::vector<double> refreshed;
   {
-    auto bytes = ReadBytesFromFile(path);
-    ASSERT_TRUE(bytes.ok());
-    bytes.value()[bytes.value().size() / 2] ^= 0x20;
-    ASSERT_TRUE(WriteBytesToFile(path, bytes.value()).ok());
+    LiveStatisticsServer restarted(options);
+    ASSERT_TRUE(restarted.RecoverColumn("t", "x", domain, config).ok());
+    auto stats = restarted.ColumnStats("t", "x");
+    ASSERT_TRUE(stats.ok());
+    EXPECT_TRUE(stats.value().recovered);
+    EXPECT_FALSE(stats.value().recovery_used_snapshot);
+    EXPECT_EQ(stats.value().writebacks, 1u);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(restarted.Estimate("t", "x", queries[i]).value(), before[i])
+          << i;
+    }
+    ASSERT_TRUE(
+        restarted.Ingest("t", "x", MakeSample(25, domain, 42)).ok());
+    ASSERT_TRUE(restarted.Refresh("t", "x").ok());
+    for (const RangeQuery& query : queries) {
+      refreshed.push_back(restarted.Estimate("t", "x", query).value());
+    }
   }
 
-  // Second catalog: the corrupt snapshot is counted, the estimate is
-  // served from a rebuild, and the repaired snapshot is written back.
-  Catalog catalog(CatalogOptions{dir});
-  auto registered =
-      catalog.RegisterColumn("orders", "amount", domain, sample, config);
-  ASSERT_TRUE(registered.ok());
-  auto estimate = catalog.Estimate(key, RangeQuery{10.0, 200.0});
-  ASSERT_TRUE(estimate.ok());
-  const CatalogServeStats stats = catalog.serve_stats();
-  EXPECT_EQ(stats.snapshot_errors, 1u);
-  EXPECT_EQ(stats.rebuilds, 1u);
-  EXPECT_EQ(stats.writebacks, 1u);
-  EXPECT_EQ(stats.snapshot_loads, 0u);
+  // The write-back repaired the file: a third server recovers from the
+  // snapshot and serves what the second one served.
+  LiveStatisticsServer repaired(options);
+  ASSERT_TRUE(repaired.RecoverColumn("t", "x", domain, config).ok());
+  auto stats = repaired.ColumnStats("t", "x");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_TRUE(stats.value().recovery_used_snapshot);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(repaired.Estimate("t", "x", queries[i]).value(), refreshed[i])
+        << i;
+  }
+}
 
-  // The write-back repaired the file: a third catalog loads it cleanly.
-  Catalog repaired(CatalogOptions{dir});
-  auto reregistered =
-      repaired.RegisterColumn("orders", "amount", domain, sample, config);
-  ASSERT_TRUE(reregistered.ok());
-  ASSERT_TRUE(repaired.Estimate(key, RangeQuery{10.0, 200.0}).ok());
-  EXPECT_EQ(repaired.serve_stats().snapshot_loads, 1u);
-  EXPECT_EQ(repaired.serve_stats().rebuilds, 0u);
+TEST(CorruptSnapshotTest, CatalogRebuildsThroughCorruptSnapshot) {
+  ExpectRecoveryRebuildsThrough(SnapshotDamage::kFlipPayloadByte,
+                                "selest_corrupt_catalog");
 }
 
 TEST(CorruptSnapshotTest, CatalogRebuildsThroughTruncatedFile) {
-  const std::string dir = FreshDir("selest_truncated_catalog");
-  const Domain domain = BitDomain(10);
-  const std::vector<double> sample = MakeSample(256, domain, 21);
-  EstimatorConfig config;  // default equi-width
-
-  Catalog warm(CatalogOptions{dir});
-  auto key = warm.RegisterColumn("t", "x", domain, sample, config);
-  ASSERT_TRUE(key.ok());
-  ASSERT_TRUE(warm.Warm(key.value()).ok());
-  const std::string path = warm.store()->PathFor(key.value());
-
-  auto bytes = ReadBytesFromFile(path);
-  ASSERT_TRUE(bytes.ok());
-  bytes.value().resize(bytes.value().size() / 3);
-  ASSERT_TRUE(WriteBytesToFile(path, bytes.value()).ok());
-
-  Catalog catalog(CatalogOptions{dir});
-  auto reregistered = catalog.RegisterColumn("t", "x", domain, sample, config);
-  ASSERT_TRUE(reregistered.ok());
-  ASSERT_TRUE(catalog.Estimate("t", "x", RangeQuery{1.0, 100.0}).ok());
-  EXPECT_EQ(catalog.serve_stats().snapshot_errors, 1u);
-  EXPECT_EQ(catalog.serve_stats().rebuilds, 1u);
+  ExpectRecoveryRebuildsThrough(SnapshotDamage::kTruncate,
+                                "selest_truncated_catalog");
 }
 
 TEST(CorruptSnapshotTest, MissingSnapshotIsARebuildNotAnError) {
-  const std::string dir = FreshDir("selest_missing_catalog");
-  const Domain domain = BitDomain(10);
-  const std::vector<double> sample = MakeSample(256, domain, 31);
-  Catalog catalog(CatalogOptions{dir});
-  auto key =
-      catalog.RegisterColumn("t", "x", domain, sample, EstimatorConfig{});
-  ASSERT_TRUE(key.ok());
-  ASSERT_TRUE(catalog.Estimate(key.value(), RangeQuery{1.0, 50.0}).ok());
-  const CatalogServeStats stats = catalog.serve_stats();
-  EXPECT_EQ(stats.snapshot_errors, 0u);  // absence is not corruption
-  EXPECT_EQ(stats.rebuilds, 1u);
-  EXPECT_EQ(stats.writebacks, 1u);
+  ExpectRecoveryRebuildsThrough(SnapshotDamage::kDelete,
+                                "selest_missing_catalog");
 }
 
 }  // namespace

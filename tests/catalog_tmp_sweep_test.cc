@@ -1,8 +1,8 @@
-// The snapshot store's orphaned-temporary sweep and the serving catalog's
-// store retry discipline. A crash between the temporary write and the
-// rename (the store/rename crash point) leaks a `.snapshot.tmp` sibling
-// that no reader ever opens; construction sweeps such orphans. Transient
-// store failures on the catalog serve path retry instead of failing once.
+// The snapshot store's orphaned-temporary sweep. A crash between the
+// temporary write and the rename (the store/rename crash point) leaks a
+// `.snapshot.tmp` sibling that no reader ever opens; construction sweeps
+// such orphans. The live server's write-back retry is covered by
+// ServerDurabilityTest.TransientWritebackFaultIsRetriedToSuccess.
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "src/catalog/snapshot_store.h"
-#include "src/catalog/statistics_catalog.h"
 #include "src/data/domain.h"
 #include "src/est/estimator_factory.h"
 #include "src/exec/fault_injection.h"
@@ -119,69 +118,6 @@ TEST_F(TmpSweepTest, StoreRenameFaultLeaksTmpAndNextSweepReclaimsIt) {
   EXPECT_EQ(CountFiles(dir, ".snapshot.tmp"), 0u);
   ASSERT_TRUE(restarted.Put(key, *built.value()).ok());
   EXPECT_TRUE(restarted.Get(key).ok());
-}
-
-TEST_F(TmpSweepTest, CatalogRetriesTransientStoreFailure) {
-  const std::string dir = FreshDir("sweep_catalog_retry");
-  CatalogOptions options;
-  options.snapshot_directory = dir;
-  options.retry.base_delay_ticks = 1;  // keep test-time sleeps negligible
-  Catalog catalog(options);
-  auto key = catalog.RegisterColumn("t", "x", kDomain, MakeSample(300, 3),
-                                    EquiWidthConfig(16));
-  ASSERT_TRUE(key.ok());
-  {
-    // Fail exactly the first write-back attempt; the retry succeeds, so
-    // the cold miss still ends with a persisted snapshot.
-    FaultPlan plan;
-    plan.skip = 0;
-    plan.count = 1;
-    ScopedFault fault(kFaultPointStoreRename, plan);
-    ASSERT_TRUE(catalog.Warm(key.value()).ok());
-  }
-  const CatalogServeStats stats = catalog.serve_stats();
-  EXPECT_EQ(stats.rebuilds, 1u);
-  EXPECT_EQ(stats.writebacks, 1u);
-  EXPECT_EQ(stats.snapshot_retries, 1u);
-  EXPECT_EQ(stats.snapshot_errors, 0u);
-  EXPECT_TRUE(catalog.store()->Contains(key.value()));
-}
-
-TEST_F(TmpSweepTest, CatalogCorruptSnapshotStillFailsFastIntoRebuild) {
-  // The retry gate must not blur the corruption taxonomy: kDataLoss is
-  // non-retryable, so a damaged snapshot degrades to a rebuild after a
-  // single load attempt, same as before the retry discipline existed.
-  const std::string dir = FreshDir("sweep_corrupt_fastfail");
-  CatalogOptions options;
-  options.snapshot_directory = dir;
-  Catalog catalog(options);
-  auto key = catalog.RegisterColumn("t", "x", kDomain, MakeSample(300, 4),
-                                    EquiWidthConfig(16));
-  ASSERT_TRUE(key.ok());
-  ASSERT_TRUE(catalog.Warm(key.value()).ok());
-  // Damage the snapshot in place (flip a payload byte), then force a cold
-  // miss by serving through a fresh catalog over the same directory.
-  const std::string path = catalog.store()->PathFor(key.value());
-  {
-    std::fstream file(path,
-                      std::ios::binary | std::ios::in | std::ios::out);
-    ASSERT_TRUE(file.good());
-    file.seekg(20);
-    char byte = 0;
-    file.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x7F);
-    file.seekp(20);
-    file.write(&byte, 1);
-  }
-  Catalog cold(options);
-  auto key2 = cold.RegisterColumn("t", "x", kDomain, MakeSample(300, 4),
-                                  EquiWidthConfig(16));
-  ASSERT_TRUE(key2.ok());
-  ASSERT_TRUE(cold.Estimate(key2.value(), {100.0, 500.0}).ok());
-  const CatalogServeStats stats = cold.serve_stats();
-  EXPECT_EQ(stats.snapshot_errors, 1u);
-  EXPECT_EQ(stats.rebuilds, 1u);
-  EXPECT_EQ(stats.snapshot_retries, 0u);  // corruption did not retry
 }
 
 }  // namespace

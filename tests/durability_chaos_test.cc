@@ -7,7 +7,11 @@
 //   * the recovered column estimates exactly as a never-crashed reference
 //     server that ingested the acknowledged batches (mergeable kinds are
 //     bit-identical by the fold contract; non-mergeable kinds rebuild
-//     from the identically seeded replayed reservoir).
+//     from the identically seeded replayed reservoir);
+//   * for a feedback kind, whose workload interleaves observations with
+//     the ingests and refreshes, the reference observed exactly the
+//     acknowledged observations: recovery replays the logged ring onto
+//     its rebuild, as the reference's refresh does.
 //
 // "Crash" is in-process: a scripted workload runs with one crash point
 // armed to fire on its k-th hit (ArmNthHit); the injected error is the
@@ -90,15 +94,24 @@ const std::vector<RangeQuery>& ProbeQueries() {
   return queries;
 }
 
+// Observation i of the feedback workload.
+RangeQuery ObservedRange(size_t i) {
+  const double a = 150.0 * static_cast<double>(i);
+  return {a, a + 200.0};
+}
+double ObservedTruth(size_t i) { return 0.05 + 0.1 * static_cast<double>(i); }
+
 // One scripted pass of the durable write path: register, then alternate
-// ingests and refreshes. Any call may fail while a crash point is armed;
-// the script records which batches were acknowledged and runs to the end
-// (state written after the fault is state a real process could also have
-// written after surviving an EIO — the recovery contract is about
-// acknowledgment, not death timing).
+// ingests, observations (feedback kinds only) and refreshes. Any call may
+// fail while a crash point is armed; the script records which batches and
+// observations were acknowledged and runs to the end (state written after
+// the fault is state a real process could also have written after
+// surviving an EIO — the recovery contract is about acknowledgment, not
+// death timing).
 struct WorkloadResult {
   bool registered = false;
   std::vector<size_t> acked_batches;
+  std::vector<size_t> acked_observations;
 };
 
 WorkloadResult RunWorkload(LiveStatisticsServer& server,
@@ -110,9 +123,17 @@ WorkloadResult RunWorkload(LiveStatisticsServer& server,
                           MakeRows(kRegistrationRows, 1))
           .ok();
   if (!result.registered) return result;
+  const bool feedback = config.kind == EstimatorKind::kFeedback;
   for (size_t i = 0; i < kNumBatches; ++i) {
     if (server.Ingest("chaos", "x", MakeRows(kBatchRows, 100 + i)).ok()) {
       result.acked_batches.push_back(i);
+    }
+    if (feedback && server
+                        .ObserveTrueSelectivity("chaos", "x",
+                                                ObservedRange(i),
+                                                ObservedTruth(i))
+                        .ok()) {
+      result.acked_observations.push_back(i);
     }
     if (i % 2 == 1) (void)server.Refresh("chaos", "x");
   }
@@ -136,6 +157,8 @@ std::vector<std::pair<std::string, size_t>> ProfileHitCounts(
     const WorkloadResult clean = RunWorkload(server, config);
     EXPECT_TRUE(clean.registered);
     EXPECT_EQ(clean.acked_batches.size(), kNumBatches);
+    EXPECT_EQ(clean.acked_observations.size(),
+              config.kind == EstimatorKind::kFeedback ? kNumBatches : 0u);
     for (const char* point : WritePathCrashPoints()) {
       hits.emplace_back(point, FaultInjector::HitCount(point));
     }
@@ -201,7 +224,8 @@ class DurabilityChaosTest : public testing::Test {
               kRegistrationRows + result.acked_batches.size() * kBatchRows);
 
     // The reference: a never-crashed server that ingested exactly the
-    // acknowledged batches, refreshed so its generation covers them all.
+    // acknowledged batches and observed exactly the acknowledged
+    // observations, refreshed so its generation covers them all.
     LiveStatisticsServer reference(ChaosOptions(FreshDir("chaos_ref_wal"),
                                                 FreshDir("chaos_ref_store")));
     ASSERT_TRUE(reference
@@ -212,7 +236,17 @@ class DurabilityChaosTest : public testing::Test {
       ASSERT_TRUE(
           reference.Ingest("chaos", "x", MakeRows(kBatchRows, 100 + i)).ok());
     }
+    for (const size_t i : result.acked_observations) {
+      ASSERT_TRUE(reference
+                      .ObserveTrueSelectivity("chaos", "x", ObservedRange(i),
+                                              ObservedTruth(i))
+                      .ok());
+    }
     ASSERT_TRUE(reference.Refresh("chaos", "x").ok());
+    EXPECT_EQ(restarted.CurrentEstimator("chaos", "x")
+                  .value()
+                  ->feedback_observations(),
+              result.acked_observations.size());
     for (const RangeQuery& query : ProbeQueries()) {
       auto got = restarted.Estimate("chaos", "x", query);
       auto want = reference.Estimate("chaos", "x", query);
@@ -220,15 +254,21 @@ class DurabilityChaosTest : public testing::Test {
       ASSERT_TRUE(want.ok());
       // Mergeable kinds recover bit-identically (fold determinism);
       // non-mergeable kinds rebuild from the identically seeded replayed
-      // reservoir — also exact.
-      EXPECT_DOUBLE_EQ(got.value(), want.value())
+      // reservoir and replay the same ring — also exact.
+      EXPECT_EQ(got.value(), want.value())
           << point << " hit " << k << " query [" << query.a << ", "
           << query.b << "]";
     }
 
-    // The recovered column is live again: it accepts ingest and refresh.
+    // The recovered column is live again: it accepts ingest and refresh,
+    // and a feedback column takes observations.
     ASSERT_TRUE(
         restarted.Ingest("chaos", "x", MakeRows(kBatchRows, 999)).ok());
+    if (config.kind == EstimatorKind::kFeedback) {
+      ASSERT_TRUE(restarted
+                      .ObserveTrueSelectivity("chaos", "x", {0.0, 500.0}, 0.5)
+                      .ok());
+    }
     ASSERT_TRUE(restarted.Refresh("chaos", "x").ok());
   }
 };
@@ -247,6 +287,10 @@ TEST_F(DurabilityChaosTest, SamplingSurvivesEveryCrashInstant) {
 
 TEST_F(DurabilityChaosTest, MaxDiffRebuildSurvivesEveryCrashInstant) {
   EnumerateCrashPoints(EstimatorKind::kMaxDiff);
+}
+
+TEST_F(DurabilityChaosTest, FeedbackObservationsSurviveEveryCrashInstant) {
+  EnumerateCrashPoints(EstimatorKind::kFeedback);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The recovery manager: WAL replay → pre-crash column state. Covers the
 // full-replay path, the snapshot fast path proven by the mark's CRC, the
 // unproven-mark degradation (crash between snapshot Put and mark append),
-// the non-mergeable contract, and the record codecs.
+// the non-mergeable contract, the feedback ring kept from the log, and the
+// record codecs.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -91,6 +92,32 @@ TEST(RecoveryCodecTest, RowBatchRoundTrips) {
   std::vector<uint8_t> trailing = EncodeRowBatch(rows);
   trailing.push_back(0);
   EXPECT_EQ(DecodeRowBatch(trailing).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// The kFeedback payload is three f64s. Truncation is kOutOfRange and
+// trailing bytes kInvalidArgument, as for every record (DESIGN.md §8).
+TEST(RecoveryCodecTest, FeedbackRoundTrips) {
+  const FeedbackObservation observation{{12.5, 80.25}, 0.375};
+  const std::vector<uint8_t> bytes = EncodeFeedback(observation);
+  EXPECT_EQ(bytes.size(), 24u);
+  auto decoded = DecodeFeedback(bytes);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value().query.a, 12.5);
+  EXPECT_EQ(decoded.value().query.b, 80.25);
+  EXPECT_EQ(decoded.value().true_selectivity, 0.375);
+
+  for (size_t keep = 0; keep < bytes.size(); ++keep) {
+    EXPECT_EQ(DecodeFeedback(std::vector<uint8_t>(bytes.begin(),
+                                                  bytes.begin() + keep))
+                  .status()
+                  .code(),
+              StatusCode::kOutOfRange)
+        << keep;
+  }
+  std::vector<uint8_t> trailing = bytes;
+  trailing.push_back(0);
+  EXPECT_EQ(DecodeFeedback(trailing).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -216,6 +243,35 @@ TEST_F(RecoveryTest, NonMergeableRecoversBatchesForReservoirReplay) {
   ASSERT_EQ(recovered.value().ingest_batches.size(), 2u);
   EXPECT_EQ(recovered.value().ingest_batches[0], batch1_);
   EXPECT_EQ(recovered.value().ingest_batches[1], batch2_);
+}
+
+// Recovery keeps the newest kFeedbackRingCapacity observations in log
+// order, whatever records they interleave with.
+TEST_F(RecoveryTest, FeedbackRingKeepsTheNewestObservationsInLogOrder) {
+  const EstimatorConfig config = ConfigFor(EstimatorKind::kFeedback, 16);
+  const auto wal = MakeLog(FreshDir("recovery_feedback_ring"));
+  constexpr size_t kObservations = kFeedbackRingCapacity + 44;
+  for (size_t i = 0; i < kObservations; ++i) {
+    ASSERT_TRUE(wal->Append(WalRecordType::kFeedback,
+                            EncodeFeedback({{0.0, 1.0 + i}, 0.5}))
+                    .ok());
+    if (i == 100) {
+      ASSERT_TRUE(
+          wal->Append(WalRecordType::kIngest, EncodeRowBatch(batch1_)).ok());
+    }
+  }
+  const RecoveryManager manager(nullptr);
+  const CatalogKey key{"t", "x", FingerprintConfig(config)};
+  auto recovered = manager.Recover(key, *wal, kDomain, config);
+  ASSERT_TRUE(recovered.ok());
+  const std::vector<FeedbackObservation>& ring = recovered.value().feedback;
+  ASSERT_EQ(ring.size(), kFeedbackRingCapacity);
+  for (size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_EQ(ring[i].query.b,
+              1.0 + static_cast<double>(kObservations - ring.size() + i));
+  }
+  EXPECT_EQ(recovered.value().ingest_batches.size(), 3u);
+  EXPECT_EQ(recovered.value().total_rows, 470u);
 }
 
 TEST_F(RecoveryTest, EmptyLogIsNotFound) {

@@ -139,5 +139,23 @@ TEST(FactoryTest, AlternativeKernelTypes) {
   EXPECT_EQ((*est)->name(), "kernel(biweight, reflection)");
 }
 
+// CatalogKey's fingerprint: every config field that changes the build
+// must change the key, or two configs would share a snapshot and a log.
+TEST(CatalogKeyTest, FingerprintSeparatesConfigs) {
+  EstimatorConfig a;
+  a.kind = EstimatorKind::kEquiWidth;
+  a.smoothing = SmoothingRule::kFixed;
+  a.fixed_smoothing = 16;
+  EstimatorConfig b = a;
+  b.fixed_smoothing = 17;
+  EXPECT_NE(FingerprintConfig(a), FingerprintConfig(b));
+  EXPECT_EQ(FingerprintConfig(a), FingerprintConfig(a));
+  EstimatorConfig kernel;
+  kernel.kind = EstimatorKind::kKernel;
+  EstimatorConfig kernel_boundary = kernel;
+  kernel_boundary.boundary = BoundaryPolicy::kNone;
+  EXPECT_NE(FingerprintConfig(kernel), FingerprintConfig(kernel_boundary));
+}
+
 }  // namespace
 }  // namespace selest

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/data/domain.h"
+#include "src/est/estimator_snapshot.h"
 #include "src/feedback/reconstructed_distribution.h"
 #include "src/query/range_query.h"
 #include "src/util/random.h"
@@ -186,6 +187,21 @@ TEST(ReconstructedTest, SampleBuiltPriorIsUsedBeforeAnyFeedback) {
   ASSERT_TRUE(created.ok());
   EXPECT_NEAR(created->EstimateSelectivity(0.0, 25.0), 1.0, 0.01);
   EXPECT_NEAR(created->EstimateSelectivity(50.0, 100.0), 0.0, 0.01);
+}
+
+// With 30 bins over [0, 100], a fully covered bin's overlap fraction
+// rounds to 1 + ε. A zero target used to scale such a bin by −ε: a
+// negative mass that the snapshot loader rejects, so the live server's
+// write-back could not clone the estimator any more.
+TEST(ReconstructedTest, ZeroTargetKeepsCoveredMassesNonNegative) {
+  ReconstructedDistributionOptions options;
+  options.num_bins = 30;
+  ReconstructedDistributionEstimator estimator = Make(options);
+  ASSERT_TRUE(estimator.ObserveTrueSelectivity({30.0, 70.0}, 0.0).ok());
+  for (double mass : estimator.masses()) EXPECT_GE(mass, 0.0);
+  auto bytes = SnapshotEstimator(estimator);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_TRUE(LoadEstimatorSnapshot(bytes.value()).ok());
 }
 
 }  // namespace

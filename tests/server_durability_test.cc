@@ -1,8 +1,11 @@
-// The live server's durable ingest path: WAL-first acknowledgment, the
-// healthy → degraded → read-only health machine, retry counters on the
-// refresh and write-back paths, and the crash → RecoverColumn round trip.
+// The live server's durable ingest path: WAL-first acknowledgment, NaN
+// rows rejected before the log, the healthy → degraded → read-only health
+// machine, retry counters on the refresh and write-back paths, the pinned
+// on-disk names, and the crash → RecoverColumn round trip. Recovery
+// through a damaged snapshot file is in catalog_corrupt_snapshot_test.
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -123,6 +126,74 @@ TEST_F(ServerDurabilityTest, WalFailureDoesNotMutateInMemoryState) {
   auto generation = server.CurrentGeneration("t", "x");
   ASSERT_TRUE(generation.ok());
   EXPECT_EQ(generation.value()->rows_at_build, 240u);
+}
+
+// Domain::Clamp passes NaN through. A logged NaN row would fail every
+// later rebuild (kernel) or sort into a sample strip without a strict weak
+// order (sampling), and no refresh or recovery of the column could succeed
+// again. The whole batch is rejected before the log.
+TEST_F(ServerDurabilityTest, NanRowRejectsTheBatchBeforeTheLog) {
+  for (EstimatorKind kind : {EstimatorKind::kKernel, EstimatorKind::kSampling}) {
+    SCOPED_TRACE(EstimatorKindName(kind));
+    const std::string wal_dir = FreshDir("srvdur_nan_wal");
+    const std::string store_dir = FreshDir("srvdur_nan_store");
+    EstimatorConfig config;
+    config.kind = kind;
+    {
+      LiveStatisticsServer server(DurableOptions(wal_dir, store_dir));
+      ASSERT_TRUE(
+          server.RegisterColumn("t", "x", kDomain, config, MakeRows(500, 30))
+              .ok());
+      const std::vector<double> batch = {
+          50.0, std::numeric_limits<double>::quiet_NaN(), 20.0};
+      EXPECT_EQ(server.Ingest("t", "x", batch).code(),
+                StatusCode::kInvalidArgument);
+      auto stats = server.ColumnStats("t", "x");
+      ASSERT_TRUE(stats.ok());
+      EXPECT_EQ(stats.value().wal_appends, 0u);
+      EXPECT_EQ(stats.value().wal_append_errors, 0u);
+      EXPECT_EQ(stats.value().ingested_rows, 0u);
+      EXPECT_EQ(stats.value().health, ServerHealth::kHealthy);
+      // ±inf still clamps to the domain edges.
+      ASSERT_TRUE(server
+                      .Ingest("t", "x",
+                              std::vector<double>{
+                                  std::numeric_limits<double>::infinity(),
+                                  -std::numeric_limits<double>::infinity()})
+                      .ok());
+      ASSERT_TRUE(server.Refresh("t", "x").ok());
+    }
+    LiveStatisticsServer restarted(DurableOptions(wal_dir, store_dir));
+    ASSERT_TRUE(restarted.RecoverColumn("t", "x", kDomain, config).ok());
+    ASSERT_TRUE(restarted.Refresh("t", "x").ok());
+    EXPECT_EQ(restarted.CurrentGeneration("t", "x").value()->rows_at_build,
+              502u);
+  }
+}
+
+// SnapshotStore::LabelFor names every snapshot file and WAL directory. A
+// changed CatalogKeyHash or Sanitize would silently orphan every column's
+// durable state, so the names are pinned exactly.
+TEST_F(ServerDurabilityTest, OnDiskNamesArePinned) {
+  struct Pin {
+    CatalogKey key;
+    const char* label;
+  };
+  const Pin pins[] = {
+      {{"orders", "amount", 0x0123456789abcdefull},
+       "orders.amount-322c9355bf8274dc"},
+      {{"sales db", "price($)/eur", 42},
+       "sales_db.price____eur-c5632f573065c260"},
+      {{"t", "x", 0}, "t.x-57f8d6d6001f8a73"},
+  };
+  const SnapshotStore store(FreshDir("srvdur_names_store"));
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(SnapshotStore::LabelFor(pin.key), pin.label);
+    EXPECT_EQ(LiveStatisticsServer::WalDirectoryFor("wal", pin.key),
+              std::string("wal/") + pin.label + ".wal");
+    EXPECT_EQ(store.PathFor(pin.key),
+              store.directory() + "/" + pin.label + ".snapshot");
+  }
 }
 
 TEST_F(ServerDurabilityTest, RepeatedWalFailuresLatchReadOnly) {

@@ -447,7 +447,10 @@ void ExpectSameReport(const ErrorReport& live, const ErrorReport& direct) {
 // Each config registered in turn under one column and scored from the
 // served generation equals the in-memory sweep bit for bit: the
 // registration build and RunConfigsParallel both call BuildEstimator on the
-// same sample, and both score through the same fan-out.
+// same sample, and both score through the same fan-out. So does each
+// config served from disk: recovered by a second server from its snapshot
+// (equi-width, equi-depth) or its log (max-diff rebuilds from the replayed
+// reservoir, which holds the whole 1,200-row sample).
 TEST(LiveSweepTest, PureReadSweepMatchesParallelSweep) {
   const Dataset data("d", kDomain, MakeRows(1200, 19));
   const ExperimentSetup setup = MakeSetup(data);
@@ -458,14 +461,33 @@ TEST(LiveSweepTest, PureReadSweepMatchesParallelSweep) {
   };
   const auto direct = RunConfigsParallel(setup, configs);
   ASSERT_EQ(direct.size(), configs.size());
-  LiveStatisticsServer server(InlineOptions());
-  const auto live = LiveSweep(server, setup, configs);
-  ASSERT_EQ(live.size(), configs.size());
+  LiveServerOptions durable = InlineOptions();
+  durable.wal_directory = FreshDir("live_sweep_wal");
+  durable.snapshot_directory = FreshDir("live_sweep_store");
+  {
+    LiveStatisticsServer server(durable);
+    const auto live = LiveSweep(server, setup, configs);
+    ASSERT_EQ(live.size(), configs.size());
+    for (size_t i = 0; i < configs.size(); ++i) {
+      SCOPED_TRACE(i);
+      ASSERT_TRUE(direct[i].ok());
+      ASSERT_TRUE(live[i].ok());
+      ExpectSameReport(live[i].value(), direct[i].value());
+    }
+  }
+  LiveStatisticsServer recovered(durable);
+  const GroundTruth truth(*setup.data);
   for (size_t i = 0; i < configs.size(); ++i) {
     SCOPED_TRACE(i);
-    ASSERT_TRUE(direct[i].ok());
-    ASSERT_TRUE(live[i].ok());
-    ExpectSameReport(live[i].value(), direct[i].value());
+    ASSERT_TRUE(
+        recovered.RecoverColumn("d", "x", setup.domain(), configs[i]).ok());
+    EXPECT_EQ(recovered.ColumnStats("d", "x").value().recovery_used_snapshot,
+              i < 2);
+    auto estimator = recovered.CurrentEstimator("d", "x");
+    ASSERT_TRUE(estimator.ok());
+    ExpectSameReport(
+        EvaluateParallel(*estimator.value(), setup.queries, truth),
+        direct[i].value());
   }
 }
 

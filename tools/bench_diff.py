@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Diff two google-benchmark JSON files and fail on regressions.
 
-The perf benches (bench_perf_estimators, bench_perf_catalog,
-bench_perf_server, bench_perf_durability) each write a BENCH_*.json
-artifact by default. Committing one per milestone gives the repo a
+The perf benches (bench_perf_estimators, bench_perf_server,
+bench_perf_durability) each write a BENCH_*.json artifact by default. Committing one per milestone gives the repo a
 diffable perf trajectory; this tool is the diff:
 
     tools/bench_diff.py old/BENCH_estimators.json new/BENCH_estimators.json
