@@ -6,9 +6,14 @@
 // rebuild. Per column it maintains
 //
 //   * a served *generation*: an immutable estimator published through an
-//     atomic shared_ptr. Readers load the pointer, answer from that
-//     generation, and are never torn across a refresh (RCU-style: the old
-//     generation stays alive as long as any reader holds it);
+//     atomic raw pointer. A read takes no lock: inside an epoch guard
+//     (util/epoch.h) it finds the column in an immutable registry table by
+//     string_view, loads the pointer once and answers from that
+//     generation, never torn across a refresh. It writes no cache line
+//     another thread uses, unless more than 16 threads hold reader slots
+//     (the later ones share one serve counter). A flip retires the old
+//     generation, which is freed once every reader that could have loaded
+//     it has left (RCU-style);
 //   * an ingest-side accumulator, private to the server and guarded by an
 //     ingest mutex: a mergeable clone of the estimator that new rows fold
 //     into without a full rebuild (MergeFrom/FoldRows, est/), and a
@@ -43,7 +48,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -160,7 +164,7 @@ struct ServedEstimate {
 // traffic has quiesced.
 struct LiveColumnStats {
   uint64_t generation = 0;        // currently served generation number
-  uint64_t serves = 0;            // Estimate() answers across generations
+  uint64_t serves = 0;            // Estimate() answers, summed over readers
   uint64_t ingested_rows = 0;     // rows accepted by Ingest since register
   uint64_t rows_since_refresh = 0;
   uint64_t refreshes = 0;         // successful generation flips
@@ -245,9 +249,11 @@ class LiveStatisticsServer {
                                       const std::string& attribute,
                                       ColumnSource& source);
 
-  // Serve-path estimate from the current generation. Never blocks on a
-  // refresh: the generation pointer is loaded atomically and the answer is
-  // computed entirely from that generation.
+  // Serve-path estimate from the current generation. Never waits for a
+  // refresh in flight: the generation pointer is loaded atomically and the
+  // answer is computed entirely from that generation. The one exception:
+  // with `background_refresh` off and a TTL set, the read that finds the
+  // TTL expired runs that refresh inline, after its answer is computed.
   StatusOr<double> Estimate(const std::string& relation,
                             const std::string& attribute,
                             const RangeQuery& query);
@@ -326,9 +332,14 @@ class LiveStatisticsServer {
 
  private:
   struct Column;
+  class Table;
 
+  // Write paths and inspection: the column, held by a copy of its owner.
   std::shared_ptr<Column> FindColumn(const std::string& relation,
                                      const std::string& attribute) const;
+  // Publishes a registry table holding `column`, replacing any column of
+  // the same name, and retires the old table.
+  void InstallColumn(std::shared_ptr<Column> column);
   uint64_t Now() const;
   // Starts a refresh unless one is already running (coalescing).
   // `trigger_counter` (may be null) is bumped only when this call actually
@@ -353,16 +364,20 @@ class LiveStatisticsServer {
   // `generation->covered_sequence`).
   void Publish(const std::shared_ptr<Column>& column,
                std::shared_ptr<const LiveGeneration> generation);
-  void CheckStaleness(const std::shared_ptr<Column>& column);
+  // True when the served generation is older than the TTL. Writes only
+  // to re-anchor after the clock stepped backwards.
+  bool TtlExpired(Column& column) const;
   // Health transitions for a WAL write outcome.
   void NoteWalResult(const std::shared_ptr<Column>& column, bool ok);
 
   LiveServerOptions options_;
   std::optional<SnapshotStore> store_;
 
-  mutable std::mutex registry_mutex_;
-  std::map<std::pair<std::string, std::string>, std::shared_ptr<Column>>
-      columns_;
+  // The registry readers search: an immutable table, replaced whole by
+  // InstallColumn under the writer-only `table_mutex_` and retired through
+  // the epoch domain. Never null.
+  std::mutex table_mutex_;
+  std::atomic<const Table*> table_;
 
   // Background refresh accounting for WaitForRefreshes / the destructor.
   mutable std::mutex refresh_mutex_;

@@ -1,11 +1,18 @@
-// Concurrency tests for the epoch swap: reader threads hammer the serve
-// path while refreshes flip generations underneath them, and every served
-// answer must be bit-identical to *some* published generation — never a
-// torn mix of two. Runs under tsan via the `server` label, which also
-// proves the generation flip itself (atomic shared_ptr store vs concurrent
-// loads) race-free.
+// Concurrency tests for the lock-free serve front: reader threads hammer
+// the serve path while refreshes flip generations and re-registrations
+// replace whole columns underneath them, and every served answer must be
+// bit-identical to *some* published generation — never a torn mix of two,
+// never a freed one. The epoch domain's lifetimes are checked from the
+// outside: a held generation survives any number of flips, retired ones
+// are freed once the readers have left, serve counts are exact, and reader
+// slots are reused. Runs under tsan and asan-ubsan via the `server` label,
+// which proves the raw-pointer publish against concurrent loads race-free
+// and every retired table, column and generation freed only after its
+// readers.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -15,6 +22,7 @@
 #include "src/data/domain.h"
 #include "src/est/estimator_factory.h"
 #include "src/query/range_query.h"
+#include "src/util/epoch.h"
 #include "src/util/random.h"
 
 namespace selest {
@@ -133,10 +141,11 @@ TEST(EpochConcurrencyTest, ServedValuesAreBitIdenticalToSomeGeneration) {
   EXPECT_EQ(replayed, kReaders * kReadsPerReader);
 }
 
-// Concurrent ingest from several threads, serves racing them, background
-// refreshes on the shared pool: exercises the ingest mutex, the refresh
-// coalescing flag, and WaitForRefreshes. Correctness here is "tsan-clean
-// and the counters add up", not specific values.
+// Concurrent ingest from several threads, serves from several more,
+// background refreshes on the shared pool: exercises the ingest mutex, the
+// refresh coalescing flag, WaitForRefreshes and the per-reader serve
+// shards. Correctness here is "tsan-clean and the counters add up
+// exactly", not specific values.
 TEST(EpochConcurrencyTest, ConcurrentIngestAndServeIsClean) {
   LiveServerOptions options;
   options.background_refresh = true;
@@ -151,6 +160,8 @@ TEST(EpochConcurrencyTest, ConcurrentIngestAndServeIsClean) {
   constexpr size_t kWriters = 3;
   constexpr size_t kBatches = 20;
   constexpr size_t kBatchRows = 50;
+  constexpr size_t kReaders = 4;
+  constexpr size_t kReadsPerReader = 3000;
   const std::vector<RangeQuery> queries = ProbeQueries();
 
   std::vector<std::thread> workers;
@@ -163,18 +174,22 @@ TEST(EpochConcurrencyTest, ConcurrentIngestAndServeIsClean) {
       }
     });
   }
-  workers.emplace_back([&]() {
-    for (size_t i = 0; i < 3000; ++i) {
-      ASSERT_TRUE(server.Estimate("t", "x", queries[i % queries.size()]).ok());
-    }
-  });
+  for (size_t r = 0; r < kReaders; ++r) {
+    workers.emplace_back([&, r]() {
+      for (size_t i = 0; i < kReadsPerReader; ++i) {
+        ASSERT_TRUE(
+            server.Estimate("t", "x", queries[(r + i) % queries.size()])
+                .ok());
+      }
+    });
+  }
   for (std::thread& worker : workers) worker.join();
   server.WaitForRefreshes();
 
   auto stats = server.ColumnStats("t", "x");
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().ingested_rows, kWriters * kBatches * kBatchRows);
-  EXPECT_GE(stats.value().serves, 3000u);
+  EXPECT_EQ(stats.value().serves, kReaders * kReadsPerReader);
   EXPECT_GE(stats.value().refreshes, 1u);
   EXPECT_EQ(stats.value().refresh_errors, 0u);
   auto generation = server.CurrentGeneration("t", "x");
@@ -207,6 +222,162 @@ TEST(EpochConcurrencyTest, OldGenerationSurvivesWhileHeld) {
   auto current = server.CurrentGeneration("t", "x");
   ASSERT_TRUE(current.ok());
   EXPECT_EQ(current.value()->number, 6u);
+}
+
+// Re-registration replaces the whole column, so a reader may be inside the
+// old column, its table and its generation when they are retired. Every
+// served value must still come from one of the registered samples: equal,
+// for its query, to a direct build of one of them. Under asan-ubsan this
+// is also the use-after-free check for retired columns and tables.
+TEST(EpochConcurrencyTest, ReRegistrationRaceServesOnlyRegisteredSamples) {
+  LiveStatisticsServer server;
+  const EstimatorConfig config =
+      ConfigWithBins(EstimatorKind::kEquiWidth, 24);
+  constexpr size_t kRegistrations = 50;
+  constexpr size_t kReaders = 4;
+  const std::vector<RangeQuery> queries = ProbeQueries();
+
+  // answers[s][q]: sample s's direct answer to query q.
+  std::vector<std::vector<double>> samples;
+  std::vector<std::vector<double>> answers;
+  for (size_t s = 0; s <= kRegistrations; ++s) {
+    samples.push_back(MakeRows(200 + s, 500 + s));
+    auto built = BuildEstimator(samples.back(), kDomain, config);
+    ASSERT_TRUE(built.ok());
+    answers.emplace_back();
+    for (const RangeQuery& query : queries) {
+      answers.back().push_back(built.value()->EstimateSelectivity(query));
+    }
+  }
+  ASSERT_TRUE(
+      server.RegisterColumn("t", "x", kDomain, config, samples[0]).ok());
+
+  std::atomic<bool> done{false};
+  std::vector<std::vector<Observation>> observations(kReaders);
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r]() {
+      for (size_t i = 0; !done.load() || i < 200; ++i) {
+        const size_t q = (r * 5 + i) % queries.size();
+        auto served = server.EstimateDetailed("t", "x", queries[q]);
+        ASSERT_TRUE(served.ok());
+        observations[r].push_back({q, served.value().value, 0});
+      }
+    });
+  }
+  for (size_t s = 1; s <= kRegistrations; ++s) {
+    ASSERT_TRUE(
+        server.RegisterColumn("t", "x", kDomain, config, samples[s]).ok());
+  }
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(server.num_columns(), 1u);
+  size_t checked = 0;
+  for (const auto& per_reader : observations) {
+    for (const Observation& seen : per_reader) {
+      const bool known = std::any_of(
+          answers.begin(), answers.end(), [&](const std::vector<double>& a) {
+            return a[seen.query] == seen.value;
+          });
+      EXPECT_TRUE(known) << "query " << seen.query << " served "
+                         << seen.value << ", which no registered sample gives";
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, kReaders * 200);
+  // The last registration serves.
+  auto current = server.CurrentEstimator("t", "x");
+  ASSERT_TRUE(current.ok());
+  EXPECT_EQ(current.value()->EstimateSelectivity(queries[3]),
+            answers[kRegistrations][3]);
+}
+
+// Reclamation keeps memory bounded: after 1,000 flips under 4 readers,
+// once the readers have left and one more generation is published, only
+// the current generation and the one the test holds are still alive.
+TEST(EpochConcurrencyTest, RetiredGenerationsAreFreedOnceReadersLeave) {
+  LiveServerOptions options;
+  options.background_refresh = false;
+  LiveStatisticsServer server(std::move(options));
+  ASSERT_TRUE(server
+                  .RegisterColumn("t", "x", kDomain,
+                                  ConfigWithBins(EstimatorKind::kEquiWidth, 16),
+                                  MakeRows(300, 4))
+                  .ok());
+  const std::vector<RangeQuery> queries = ProbeQueries();
+  constexpr size_t kFlips = 1000;
+  constexpr size_t kReaders = 4;
+
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r]() {
+      for (size_t i = 0; !done.load(); ++i) {
+        ASSERT_TRUE(server
+                        .EstimateDetailed("t", "x",
+                                          queries[(r + i) % queries.size()])
+                        .ok());
+      }
+    });
+  }
+  std::vector<std::weak_ptr<const LiveGeneration>> seen;
+  std::shared_ptr<const LiveGeneration> held;
+  for (size_t flip = 0; flip < kFlips; ++flip) {
+    if (flip % 10 == 0) {
+      ASSERT_TRUE(server.Ingest("t", "x", MakeRows(5, 1000 + flip)).ok());
+    }
+    ASSERT_TRUE(server.Refresh("t", "x").ok());
+    auto current = server.CurrentGeneration("t", "x");
+    ASSERT_TRUE(current.ok());
+    seen.push_back(current.value());
+    if (flip == kFlips / 2) held = current.value();
+  }
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+
+  // Quiesced: one more publish reclaims everything retired before it.
+  ASSERT_TRUE(server.Refresh("t", "x").ok());
+  auto current = server.CurrentGeneration("t", "x");
+  ASSERT_TRUE(current.ok());
+  EXPECT_EQ(current.value()->number, kFlips + 2);
+  size_t alive = 0;
+  for (const auto& generation : seen) alive += generation.expired() ? 0 : 1;
+  EXPECT_EQ(alive, 1u);  // the held one
+  EXPECT_FALSE(seen[kFlips / 2].expired());
+  EXPECT_EQ(held->number, kFlips / 2 + 2);
+  EXPECT_EQ(EpochPendingRetired(), 0u);
+}
+
+// Reader slots are given back when a thread exits and reused by later
+// threads: 64 short-lived readers, never more than 8 alive at once, leave
+// at most 8 new slots behind.
+TEST(EpochConcurrencyTest, ExitedReadersGiveTheirSlotsBack) {
+  LiveStatisticsServer server;
+  ASSERT_TRUE(server
+                  .RegisterColumn("t", "x", kDomain,
+                                  ConfigWithBins(EstimatorKind::kEquiWidth, 8),
+                                  MakeRows(100, 5))
+                  .ok());
+  const RangeQuery query{100.0, 400.0};
+  const size_t slots_before = EpochReaderSlots();
+  constexpr size_t kThreads = 64;
+  constexpr size_t kAlive = 8;
+  for (size_t wave = 0; wave < kThreads / kAlive; ++wave) {
+    std::vector<std::thread> readers;
+    for (size_t r = 0; r < kAlive; ++r) {
+      readers.emplace_back([&]() {
+        for (int i = 0; i < 100; ++i) {
+          ASSERT_TRUE(server.EstimateDetailed("t", "x", query).ok());
+        }
+      });
+    }
+    for (std::thread& reader : readers) reader.join();
+  }
+  EXPECT_LE(EpochReaderSlots(), slots_before + kAlive);
+  auto stats = server.ColumnStats("t", "x");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().serves, kThreads * 100);
 }
 
 }  // namespace
