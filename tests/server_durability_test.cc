@@ -1,7 +1,8 @@
 // The live server's durable ingest path: WAL-first acknowledgment, NaN
 // rows rejected before the log, the healthy → degraded → read-only health
 // machine, retry counters on the refresh and write-back paths, the pinned
-// on-disk names, and the crash → RecoverColumn round trip. Recovery
+// on-disk names, the crash → RecoverColumn round trip, and a shutdown that
+// closes every log although a reader still holds a table owning it. Recovery
 // through a damaged snapshot file is in catalog_corrupt_snapshot_test.
 #include <cstdint>
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include "src/est/estimator_factory.h"
 #include "src/exec/fault_injection.h"
 #include "src/query/range_query.h"
+#include "src/util/epoch.h"
 #include "src/util/random.h"
 
 namespace selest {
@@ -325,6 +327,36 @@ TEST_F(ServerDurabilityTest, CrashAndRecoverRoundTripServesIdentically) {
   // And the recovered column is fully live.
   ASSERT_TRUE(restarted.Ingest("t", "x", MakeRows(25, 14)).ok());
   ASSERT_TRUE(restarted.Refresh("t", "x").ok());
+}
+
+TEST_F(ServerDurabilityTest, ShutdownClosesLogsARetiredTableStillOwns) {
+  // A guard opened before the second registration keeps the table that
+  // registration retired, and the column t.x it owns, alive past the
+  // server. Shutdown must still flush and close t.x's buffered log, so a
+  // server restarted meanwhile recovers every acknowledged row.
+  const std::string wal_dir = FreshDir("srvdur_retired_wal");
+  const EstimatorConfig config = ConfigFor(EstimatorKind::kEquiWidth, 16);
+  LiveServerOptions options = DurableOptions(wal_dir, "");
+  options.wal.sync_every_append = false;
+  {
+    const EpochGuard reader;  // a reader of some other server
+    {
+      LiveStatisticsServer server(options);
+      ASSERT_TRUE(
+          server.RegisterColumn("t", "x", kDomain, config, MakeRows(200, 21))
+              .ok());
+      ASSERT_TRUE(
+          server.RegisterColumn("t", "y", kDomain, config, MakeRows(200, 22))
+              .ok());
+      ASSERT_TRUE(server.Ingest("t", "x", MakeRows(50, 23)).ok());
+    }
+    LiveStatisticsServer restarted(options);
+    ASSERT_TRUE(restarted.RecoverColumn("t", "x", kDomain, config).ok());
+    auto generation = restarted.CurrentGeneration("t", "x");
+    ASSERT_TRUE(generation.ok());
+    EXPECT_EQ(generation.value()->rows_at_build, 250u);
+  }
+  ReclaimRetired();
 }
 
 TEST_F(ServerDurabilityTest, RecoverWithoutRegistrationIsNotFound) {

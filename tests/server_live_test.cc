@@ -1,5 +1,7 @@
 // The live statistics server, deterministic paths: registration serving
-// bit-identical to a direct build, ingest + refresh semantics for the
+// bit-identical to a direct build (also across a hundred columns whose
+// names differ only in length, prefix, suffix or an embedded NUL, before
+// and after re-registration), ingest + refresh semantics for the
 // merge and rebuild paths, the ingest-volume and TTL staleness policies,
 // snapshot write-back, file ingest, a live sweep scored bit-identically to
 // RunConfigsParallel, and the memory bound of sustained ingest.
@@ -8,8 +10,10 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <malloc.h>
@@ -141,6 +145,131 @@ TEST(LiveServerTest, UnknownColumnAndBadRegistrationAreErrors) {
   ASSERT_TRUE(generation.ok());
   EXPECT_EQ(generation.value()->number, 1u);
   EXPECT_TRUE(server.Estimate("t", "x", {100.0, 400.0}).ok());
+}
+
+// Column names the registry must keep apart: every length from 1 to 20
+// bytes (7 against 8 among them), the same bytes at different lengths,
+// names that share an 8-byte prefix or suffix, a byte moved across the
+// relation/attribute split, embedded NULs, and names like the end-to-end
+// benchmark's.
+std::vector<std::pair<std::string, std::string>> RegistryNames() {
+  std::vector<std::pair<std::string, std::string>> names;
+  for (size_t length = 1; length <= 20; ++length) {
+    names.emplace_back(std::string(length, 'r'), "x");
+    names.emplace_back("t", std::string(length, 'a'));
+  }
+  names.emplace_back("relation", "a");
+  names.emplace_back("s", "_suffix8");
+  for (char d = '0'; d <= '9'; ++d) {
+    names.emplace_back(std::string("relation") + d, "a");
+    names.emplace_back("s", d + std::string("_suffix8"));
+    names.emplace_back(d + std::string("_long_shared_suffix"), "y");
+  }
+  for (const std::string& nul :
+       {std::string("\0", 1), std::string("\0\0", 2), std::string("nul"),
+        std::string("nul\0", 4), std::string("nul\0\0", 5),
+        std::string("nul\0a", 5), std::string("nul\0b", 5),
+        std::string("nul\0\0\0\0\0\0", 9)}) {
+    names.emplace_back(nul, "z");
+  }
+  names.emplace_back("ab", "c");
+  names.emplace_back("a", "bc");
+  names.emplace_back("rel", "attr8byte");
+  names.emplace_back("relattr8", "byte");
+  for (const char* relation : {"u_20", "n_20", "rr2_22", "iw"}) {
+    for (const char* attribute : {"a00", "a01", "a63"}) {
+      names.emplace_back(relation, attribute);
+    }
+  }
+  return names;
+}
+
+TEST(LiveServerTest, RegistryServesEachOfManyColumnNames) {
+  const std::vector<std::pair<std::string, std::string>> names =
+      RegistryNames();
+  const std::set<std::pair<std::string, std::string>> registered(
+      names.begin(), names.end());
+  ASSERT_EQ(registered.size(), names.size());
+  ASSERT_GE(names.size(), 90u);
+
+  // Lookups that must miss: proper prefixes of each name, each name with
+  // a NUL appended, the two names swapped, an empty relation.
+  std::vector<std::pair<std::string, std::string>> missing;
+  for (const auto& [relation, attribute] : names) {
+    std::vector<std::pair<std::string, std::string>> candidates = {
+        {relation + '\0', attribute},
+        {relation, attribute + '\0'},
+        {attribute, relation},
+        {"", attribute}};
+    for (size_t k = 1; k < relation.size(); ++k) {
+      candidates.emplace_back(relation.substr(0, k), attribute);
+    }
+    for (size_t k = 1; k < attribute.size(); ++k) {
+      candidates.emplace_back(relation, attribute.substr(0, k));
+    }
+    for (auto& candidate : candidates) {
+      if (!registered.contains(candidate)) {
+        missing.push_back(std::move(candidate));
+      }
+    }
+  }
+  ASSERT_GE(missing.size(), 500u);
+
+  const EstimatorConfig config =
+      ConfigWithBins(EstimatorKind::kEquiWidth, 16);
+  const std::vector<RangeQuery> queries = {{0.0, 100.0},   {50.0, 333.0},
+                                           {250.0, 700.0}, {600.0, 950.0},
+                                           {123.0, 456.0}, {480.0, 520.0}};
+  LiveStatisticsServer server(InlineOptions());
+  // Two rounds: every column registered, then every column re-registered
+  // in reverse order with a new sample.
+  for (uint64_t round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<std::vector<double>> expected(names.size());
+    for (size_t n = 0; n < names.size(); ++n) {
+      const size_t c = round == 0 ? n : names.size() - 1 - n;
+      const std::vector<double> rows =
+          MakeRows(40 + c, 1000 * (round + 1) + c);
+      auto direct = BuildEstimator(rows, kDomain, config);
+      ASSERT_TRUE(direct.ok());
+      for (const RangeQuery& query : queries) {
+        expected[c].push_back(direct.value()->EstimateSelectivity(query));
+      }
+      ASSERT_TRUE(server
+                      .RegisterColumn(names[c].first, names[c].second,
+                                      kDomain, config, rows)
+                      .ok());
+    }
+    // No two columns answer alike, so a lookup that lands on the wrong
+    // column cannot pass.
+    ASSERT_EQ(std::set<std::vector<double>>(expected.begin(), expected.end())
+                  .size(),
+              names.size());
+    EXPECT_EQ(server.num_columns(), names.size());
+
+    for (size_t c = 0; c < names.size(); ++c) {
+      SCOPED_TRACE("column " + std::to_string(c));
+      const auto& [relation, attribute] = names[c];
+      EXPECT_TRUE(server.HasColumn(relation, attribute));
+      for (size_t q = 0; q < queries.size(); ++q) {
+        auto served = server.EstimateDetailed(relation, attribute, queries[q]);
+        ASSERT_TRUE(served.ok()) << served.status().ToString();
+        EXPECT_EQ(served.value().value, expected[c][q]);
+        EXPECT_EQ(served.value().generation, 1u);
+      }
+      // The write paths reach the column through its owner.
+      auto owned = server.CurrentEstimator(relation, attribute);
+      ASSERT_TRUE(owned.ok());
+      EXPECT_EQ(owned.value()->EstimateSelectivity(queries[0]), expected[c][0]);
+    }
+    for (const auto& [relation, attribute] : missing) {
+      EXPECT_EQ(server.EstimateDetailed(relation, attribute, queries[0])
+                    .status()
+                    .code(),
+                StatusCode::kNotFound);
+      EXPECT_FALSE(server.HasColumn(relation, attribute));
+    }
+  }
 }
 
 TEST(LiveServerTest, MergePathRefreshMatchesFullRebuild) {
