@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <utility>
+
+#include "src/util/simd.h"
 
 namespace selest {
 
@@ -26,9 +30,16 @@ StatusOr<BinnedDensity> BinnedDensity::Create(std::vector<double> edges,
   for (double c : counts) {
     if (c < 0.0) return InvalidArgumentError("counts must be non-negative");
   }
-  return BinnedDensity(AlignedDoubles(edges.begin(), edges.end()),
-                       AlignedDoubles(counts.begin(), counts.end()),
-                       total_count);
+  return BinnedDensity(std::move(edges), std::move(counts), total_count);
+}
+
+BinnedDensity::BinnedDensity(std::vector<double> edges,
+                             std::vector<double> counts, double total_count)
+    : edges_(std::move(edges)),
+      counts_(std::move(counts)),
+      cumulative_(edges_.size(), 0.0),
+      total_count_(total_count) {
+  std::partial_sum(counts_.begin(), counts_.end(), cumulative_.begin() + 1);
 }
 
 namespace {
@@ -75,30 +86,25 @@ double BinnedDensity::Density(double x) const {
   return counts_[bin] / (total_count_ * width);
 }
 
+double BinnedDensity::CumulativeAt(size_t pos, double x) const {
+  if (pos == 0) return 0.0;
+  if (pos == edges_.size()) return cumulative_.back();
+  // edges_[i] <= x <= edges_[i + 1] with at least one side strict, so the
+  // bin has positive width. The divide form makes x == edges_[i + 1] land
+  // exactly on cumulative_[i + 1] (w/w == 1.0).
+  const size_t i = pos - 1;
+  return cumulative_[i] +
+         counts_[i] * ((x - edges_[i]) / (edges_[i + 1] - edges_[i]));
+}
+
 double BinnedDensity::Selectivity(double a, double b) const {
-  if (a > b) return 0.0;
-  double mass = 0.0;
-  // Only bins overlapping [a, b] contribute; find the first candidate by
-  // binary search. lower_bound (not upper_bound) so that zero-width atom
-  // bins located exactly at `a` are not skipped. The branch-free search
-  // returns the same index and is what the vector block kernel replays,
-  // keeping the two paths structurally identical.
-  const size_t first = BranchFreeLowerBound(edges_.data(), edges_.size(), a);
-  size_t i = first == 0 ? 0 : first - 1;
-  for (; i < counts_.size() && edges_[i] <= b; ++i) {
-    const double lo = edges_[i];
-    const double hi = edges_[i + 1];
-    const double width = hi - lo;
-    if (width <= 0.0) {
-      // Atom at lo: all of its mass lies inside [a, b] iff a <= lo <= b.
-      if (lo >= a && lo <= b) mass += counts_[i];
-      continue;
-    }
-    const double overlap = std::min(b, hi) - std::max(a, lo);
-    if (overlap <= 0.0) continue;
-    mass += counts_[i] * (overlap / width);
-  }
-  return std::clamp(mass / total_count_, 0.0, 1.0);
+  if (!(a <= b)) return 0.0;  // inverted range or a NaN bound
+  const size_t num_edges = edges_.size();
+  const double at_or_below_b =
+      CumulativeAt(BranchFreeUpperBound(edges_.data(), num_edges, b), b);
+  const double below_a =
+      CumulativeAt(BranchFreeLowerBound(edges_.data(), num_edges, a), a);
+  return std::clamp((at_or_below_b - below_a) / total_count_, 0.0, 1.0);
 }
 
 size_t BinnedDensity::StorageBytes() const {
@@ -111,23 +117,24 @@ StatusOr<BinnedDensity> BinnedDensity::MergedWith(
     return FailedPreconditionError(
         "histogram merge requires identical bin edges");
   }
-  AlignedDoubles counts(counts_);
+  std::vector<double> counts(counts_);
   for (size_t i = 0; i < counts.size(); ++i) counts[i] += other.counts_[i];
   return BinnedDensity(edges_, std::move(counts),
                        total_count_ + other.total_count_);
 }
 
 BinnedDensity BinnedDensity::FoldedWith(std::span<const double> values) const {
-  BinnedDensity folded(*this);
+  std::vector<double> counts(counts_);
   for (double v : values) {
-    folded.counts_[BucketIndex(edges_, counts_.size(), v)] += 1.0;
+    counts[BucketIndex(edges_, counts.size(), v)] += 1.0;
   }
-  folded.total_count_ += static_cast<double>(values.size());
-  return folded;
+  return BinnedDensity(edges_, std::move(counts),
+                       total_count_ + static_cast<double>(values.size()));
 }
 
 double BinnedDensity::MassBelow(double x) const {
-  return Selectivity(edges_.front(), x) * total_count_;
+  return CumulativeAt(BranchFreeUpperBound(edges_.data(), edges_.size(), x),
+                      x);
 }
 
 }  // namespace selest

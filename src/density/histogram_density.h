@@ -6,9 +6,25 @@
 //
 //   σ̂_H(a, b) = (1/n) Σ_i (n_i / h_i) ψ_i(a, b)
 //
-// with ψ_i the length of the overlap between the query and bin i. The bin
-// *placement* policies (equi-width, equi-depth, max-diff, shifted) live in
-// src/est; they all delegate the arithmetic to BinnedDensity.
+// with ψ_i the length of the overlap between the query and bin i. That sum
+// is the difference of one piecewise-linear cumulative mass, so it is
+// answered from two lookups instead of a walk over the overlapped bins:
+//
+//   C⁺(x) = mass at or below x (atoms at x included),
+//   C⁻(x) = mass strictly below x (atoms at x excluded),
+//   σ̂_H(a, b) = clamp((C⁺(b) − C⁻(a)) / n, 0, 1).
+//
+// Both find the bin holding x with one branch-free edge search (upper bound
+// for C⁺, lower bound for C⁻) and return cum_i + n_i·((x − c_i)/h_i), where
+// cum_i is the mass of the bins before bin i; they are 0 below the first
+// edge and the total mass above the last. A bound on an edge lands exactly
+// on cum, so a bin-aligned query over integer counts answers count/n
+// exactly, and σ̂_H never decreases as the range grows. An inverted range
+// or a NaN bound answers 0. DESIGN.md §12 records how this form replaced
+// the per-bin walk as the numeric reference.
+//
+// The bin *placement* policies (equi-width, equi-depth, max-diff, shifted)
+// live in src/est; they all delegate the arithmetic to BinnedDensity.
 #ifndef SELEST_DENSITY_HISTOGRAM_DENSITY_H_
 #define SELEST_DENSITY_HISTOGRAM_DENSITY_H_
 
@@ -16,7 +32,6 @@
 #include <span>
 #include <vector>
 
-#include "src/util/simd.h"
 #include "src/util/status.h"
 
 namespace selest {
@@ -42,32 +57,20 @@ class BinnedDensity {
                                             std::vector<double> edges);
 
   size_t num_bins() const { return counts_.size(); }
-  // Edges and counts live in contiguous 64-byte-aligned strips (SoA hot
-  // state for the vector batch kernels; DESIGN.md §12).
-  const AlignedDoubles& edges() const { return edges_; }
-  const AlignedDoubles& counts() const { return counts_; }
+  const std::vector<double>& edges() const { return edges_; }
+  const std::vector<double>& counts() const { return counts_; }
   double total_count() const { return total_count_; }
 
   // Density estimate f̂_H(x); atoms (zero-width bins) return +inf at their
   // position and are better handled through Selectivity.
   double Density(double x) const;
 
-  // Selectivity of [a, b] per formula (4). Atoms contribute fully when
-  // a <= c <= b. Returns a value in [0, 1] (up to rounding).
+  // Selectivity of [a, b] per formula (4), in [0, 1]: the cumulative form
+  // above. Atoms contribute fully when a <= c <= b.
   double Selectivity(double a, double b) const;
 
-  // Selectivity for one SIMD block: ops.width queries at a time, each
-  // out[k] bit-identical to Selectivity(a[k], b[k]). Arrays must be
-  // ops.width long and kSimdAlign-aligned.
-  void SelectivityBlock(const SimdOps& ops, const double* a, const double* b,
-                        double* out) const {
-    ops.histogram_block(edges_.data(), counts_.data(),
-                        static_cast<int64_t>(counts_.size()), total_count_, a,
-                        b, out);
-  }
-
   // Bytes of storage for the edges + counts: what a system catalog would
-  // persist.
+  // persist (the cumulative masses are derived, not stored).
   size_t StorageBytes() const;
 
   // This histogram plus `other`, which must share the exact edge vector:
@@ -81,19 +84,24 @@ class BinnedDensity {
   // once. An empty span returns an unchanged copy.
   BinnedDensity FoldedWith(std::span<const double> values) const;
 
-  // Cumulative mass strictly derived state: total mass at or below `x`
-  // (atoms at `x` included). Used by the equi-depth quantile merge.
+  // C⁺(x): total mass at or below `x`, atoms at `x` included. Used by the
+  // equi-depth quantile merge.
   double MassBelow(double x) const;
 
  private:
-  BinnedDensity(AlignedDoubles edges, AlignedDoubles counts,
-                double total_count)
-      : edges_(std::move(edges)),
-        counts_(std::move(counts)),
-        total_count_(total_count) {}
+  // Derives the cumulative masses from `counts`.
+  BinnedDensity(std::vector<double> edges, std::vector<double> counts,
+                double total_count);
 
-  AlignedDoubles edges_;
-  AlignedDoubles counts_;
+  // The cumulative mass at `x`, given pos = the number of edges below x
+  // (C⁻, from a lower-bound search) or at or below x (C⁺, upper bound).
+  double CumulativeAt(size_t pos, double x) const;
+
+  std::vector<double> edges_;
+  std::vector<double> counts_;
+  // cumulative_[i] = counts_[0] + … + counts_[i−1], summed left to right;
+  // one entry per edge.
+  std::vector<double> cumulative_;
   double total_count_;
 };
 

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "src/util/check.h"
-
 namespace selest {
 
 StatusOr<AverageShiftedHistogram> AverageShiftedHistogram::Create(
@@ -34,35 +32,6 @@ double AverageShiftedHistogram::EstimateSelectivity(double a, double b) const {
     sum += histogram.EstimateSelectivity(a, b);
   }
   return sum / static_cast<double>(histograms_.size());
-}
-
-void AverageShiftedHistogram::EstimateSelectivityBatch(
-    std::span<const RangeQuery> queries, std::span<double> out) const {
-  SELEST_CHECK_EQ(queries.size(), out.size());
-  const auto per_query = [this](const RangeQuery& q) {
-    return EstimateSelectivity(q.a, q.b);
-  };
-  const SimdOps* ops = ActiveSimdOps();
-  if (ops == nullptr) {
-    BatchWith(queries, out, per_query);
-    return;
-  }
-  // One block pass per shifted histogram, accumulating per lane in shift
-  // order — the same summation order as the per-query loop above.
-  BatchWithBlocks(
-      queries, out, ops->width,
-      [this, ops](const double* a, const double* b, double* r) {
-        alignas(kSimdAlign) double shifted[kMaxSimdWidth];
-        for (int k = 0; k < ops->width; ++k) r[k] = 0.0;
-        for (const EquiWidthHistogram& histogram : histograms_) {
-          histogram.bins().SelectivityBlock(*ops, a, b, shifted);
-          for (int k = 0; k < ops->width; ++k) r[k] += shifted[k];
-        }
-        const double n = static_cast<double>(histograms_.size());
-        for (int k = 0; k < ops->width; ++k) r[k] /= n;
-        return true;
-      },
-      per_query);
 }
 
 size_t AverageShiftedHistogram::StorageBytes() const {

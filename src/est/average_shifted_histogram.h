@@ -27,8 +27,6 @@ class AverageShiftedHistogram : public SelectivityEstimator {
       int num_shifts = 10);
 
   double EstimateSelectivity(double a, double b) const override;
-  void EstimateSelectivityBatch(std::span<const RangeQuery> queries,
-                                std::span<double> out) const override;
   size_t StorageBytes() const override;
   std::string name() const override;
 

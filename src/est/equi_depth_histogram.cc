@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/est/estimator_snapshot.h"
-#include "src/util/check.h"
 
 namespace selest {
 
@@ -59,12 +58,6 @@ double EquiDepthHistogram::EstimateSelectivity(double a, double b) const {
   return bins_.Selectivity(a, b);
 }
 
-void EquiDepthHistogram::EstimateSelectivityBatch(
-    std::span<const RangeQuery> queries, std::span<double> out) const {
-  SELEST_CHECK_EQ(queries.size(), out.size());
-  BatchWithBinned(bins_, queries, out);
-}
-
 std::string EquiDepthHistogram::name() const {
   return "equi-depth(" + std::to_string(num_bins()) + ")";
 }
@@ -75,8 +68,8 @@ Status EquiDepthHistogram::MergeFrom(const SelectivityEstimator& other) {
     return FailedPreconditionError("cannot merge " + other.name() +
                                    " into an equi-depth histogram");
   }
-  const AlignedDoubles& a_edges = bins_.edges();
-  const AlignedDoubles& b_edges = peer->bins_.edges();
+  const std::vector<double>& a_edges = bins_.edges();
+  const std::vector<double>& b_edges = peer->bins_.edges();
   if (a_edges.front() != b_edges.front() || a_edges.back() != b_edges.back()) {
     return FailedPreconditionError(
         "equi-depth merge requires histograms over the same domain");

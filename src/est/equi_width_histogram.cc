@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "src/est/estimator_snapshot.h"
-#include "src/util/check.h"
 
 namespace selest {
 
@@ -37,12 +36,6 @@ StatusOr<EquiWidthHistogram> EquiWidthHistogram::Create(
 
 double EquiWidthHistogram::EstimateSelectivity(double a, double b) const {
   return bins_.Selectivity(a, b);
-}
-
-void EquiWidthHistogram::EstimateSelectivityBatch(
-    std::span<const RangeQuery> queries, std::span<double> out) const {
-  SELEST_CHECK_EQ(queries.size(), out.size());
-  BatchWithBinned(bins_, queries, out);
 }
 
 std::string EquiWidthHistogram::name() const {

@@ -25,8 +25,6 @@ class EquiWidthHistogram : public SelectivityEstimator {
                                              int num_bins, double shift = 0.0);
 
   double EstimateSelectivity(double a, double b) const override;
-  void EstimateSelectivityBatch(std::span<const RangeQuery> queries,
-                                std::span<double> out) const override;
   size_t StorageBytes() const override { return bins_.StorageBytes(); }
   std::string name() const override;
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/est/estimator_snapshot.h"
-#include "src/util/check.h"
 
 namespace selest {
 
@@ -54,12 +53,6 @@ StatusOr<MaxDiffHistogram> MaxDiffHistogram::Create(
 
 double MaxDiffHistogram::EstimateSelectivity(double a, double b) const {
   return bins_.Selectivity(a, b);
-}
-
-void MaxDiffHistogram::EstimateSelectivityBatch(
-    std::span<const RangeQuery> queries, std::span<double> out) const {
-  SELEST_CHECK_EQ(queries.size(), out.size());
-  BatchWithBinned(bins_, queries, out);
 }
 
 std::string MaxDiffHistogram::name() const {

@@ -22,8 +22,6 @@ class MaxDiffHistogram : public SelectivityEstimator {
                                            const Domain& domain, int num_bins);
 
   double EstimateSelectivity(double a, double b) const override;
-  void EstimateSelectivityBatch(std::span<const RangeQuery> queries,
-                                std::span<double> out) const override;
   size_t StorageBytes() const override { return bins_.StorageBytes(); }
   std::string name() const override;
 

@@ -198,31 +198,6 @@ class SelectivityEstimator {
                   }
                 });
   }
-
-  // Batch body for every BinnedDensity-backed histogram estimator: routes
-  // blocks through bins.SelectivityBlock on the active vector tier and
-  // falls back to the per-query scalar path on the scalar tier.
-  // (Templated so this header needs no histogram dependency.)
-  template <typename Bins>
-  static void BatchWithBinned(const Bins& bins,
-                              std::span<const RangeQuery> queries,
-                              std::span<double> out) {
-    const auto per_query = [&bins](const RangeQuery& q) {
-      return bins.Selectivity(q.a, q.b);
-    };
-    const SimdOps* ops = ActiveSimdOps();
-    if (ops == nullptr) {
-      BatchWith(queries, out, per_query);
-      return;
-    }
-    BatchWithBlocks(
-        queries, out, ops->width,
-        [&bins, ops](const double* a, const double* b, double* r) {
-          bins.SelectivityBlock(*ops, a, b, r);
-          return true;
-        },
-        per_query);
-  }
 };
 
 }  // namespace selest

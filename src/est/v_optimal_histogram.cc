@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/est/estimator_snapshot.h"
-#include "src/util/check.h"
 
 namespace selest {
 
@@ -104,12 +103,6 @@ StatusOr<VOptimalHistogram> VOptimalHistogram::Create(
 
 double VOptimalHistogram::EstimateSelectivity(double a, double b) const {
   return bins_.Selectivity(a, b);
-}
-
-void VOptimalHistogram::EstimateSelectivityBatch(
-    std::span<const RangeQuery> queries, std::span<double> out) const {
-  SELEST_CHECK_EQ(queries.size(), out.size());
-  BatchWithBinned(bins_, queries, out);
 }
 
 std::string VOptimalHistogram::name() const {

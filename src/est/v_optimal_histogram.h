@@ -32,8 +32,6 @@ class VOptimalHistogram : public SelectivityEstimator {
                                             int base_bins = 512);
 
   double EstimateSelectivity(double a, double b) const override;
-  void EstimateSelectivityBatch(std::span<const RangeQuery> queries,
-                                std::span<double> out) const override;
   size_t StorageBytes() const override { return bins_.StorageBytes(); }
   std::string name() const override;
 

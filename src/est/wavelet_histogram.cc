@@ -125,12 +125,6 @@ double WaveletHistogram::EstimateSelectivity(double a, double b) const {
   return bins_.Selectivity(a, b);
 }
 
-void WaveletHistogram::EstimateSelectivityBatch(
-    std::span<const RangeQuery> queries, std::span<double> out) const {
-  SELEST_CHECK_EQ(queries.size(), out.size());
-  BatchWithBinned(bins_, queries, out);
-}
-
 size_t WaveletHistogram::StorageBytes() const {
   // Index (u32) + value (double) per kept coefficient.
   return static_cast<size_t>(num_coefficients_) *

@@ -29,8 +29,6 @@ class WaveletHistogram : public SelectivityEstimator {
                                            int base_bins = 512);
 
   double EstimateSelectivity(double a, double b) const override;
-  void EstimateSelectivityBatch(std::span<const RangeQuery> queries,
-                                std::span<double> out) const override;
   // The synopsis: (index, value) per retained coefficient.
   size_t StorageBytes() const override;
   std::string name() const override;

@@ -16,7 +16,7 @@
 // and only predict. Query-driven estimators start from the uniform prior,
 // predict, then observe the true selectivity of each executed query. Per
 // estimator the replay records the rolling-window MRE after every query —
-// the error-vs-queries-observed curve of ROADMAP item 2 — plus the
+// the error-vs-queries-observed curve of DESIGN.md §14.4 — plus the
 // convergence point where a query-driven curve drops below the best
 // static curve for the remainder of the replay.
 //

@@ -1,5 +1,5 @@
 // Portable SIMD shim: runtime-dispatched batch kernels for the estimator
-// hot paths (ROADMAP item 2, DESIGN.md §12).
+// hot paths (DESIGN.md §12).
 //
 // One binary serves any host: the vector kernels are compiled into
 // per-ISA translation units (util/simd_avx2.cc at 4 lanes,
@@ -36,9 +36,9 @@ inline constexpr int kSimdUlpTolerance = 0;
 // Aligned storage for struct-of-arrays hot state.
 // ---------------------------------------------------------------------------
 
-// Hot estimator state (bin edges/counts, sorted sample strips, strip-table
-// nodes, per-block query staging) is kept on cache-line boundaries so a
-// vector block never straddles more lines than it must.
+// Hot estimator state (sorted sample strips, strip-table nodes, per-block
+// query staging) is kept on cache-line boundaries so a vector block never
+// straddles more lines than it must.
 inline constexpr size_t kSimdAlign = 64;
 
 template <typename T>
@@ -73,29 +73,32 @@ using AlignedDoubles = AlignedVector<double>;
 // ---------------------------------------------------------------------------
 //
 // Replaces the std::lower_bound/std::upper_bound chains on the indexed
-// kernel, sampling, and histogram paths. Each step probes the three
-// quarter pivots of the window with independent (ILP-friendly, cmov-able)
+// kernel, sampling, and histogram paths. Each round probes the three
+// quarter pivots of the window with independent (ILP-friendly)
 // comparisons; over a sorted array the predicates are monotone, so the
-// sum of the true ones advances the base straight to the chosen quarter.
-// Returns exactly the index std::lower_bound/std::upper_bound would for
-// every total-ordered input (asserted by util_simd_test, including
-// duplicate runs and ±inf keys).
+// count of true ones times the quarter advances the base straight to the
+// chosen quarter. The window then shrinks to n − 3q whatever the probes
+// said (q + n mod 4 elements, which still brackets the answer when the
+// base stopped short of the last quarter), and the last ≤ 3 elements are
+// counted the same way. So the trip counts depend on n alone and no
+// branch depends on the key: the counts are integer adds, where a
+// `p ? q : 0` per probe compiles to conditional jumps that mispredict on
+// random keys. Returns exactly the index std::lower_bound/
+// std::upper_bound would for every total-ordered input (asserted by
+// util_simd_test, including duplicate runs and ±inf keys).
 
 inline size_t BranchFreeLowerBound(const double* data, size_t n, double key) {
   const double* base = data;
   while (n > 3) {
     const size_t q = n >> 2;
-    const size_t s1 = base[q - 1] < key ? q : 0;
-    const size_t s2 = base[2 * q - 1] < key ? q : 0;
-    const size_t s3 = base[3 * q - 1] < key ? q : 0;
-    const size_t adv = s1 + s2 + s3;
-    base += adv;
-    n = adv == 3 * q ? n - 3 * q : q;
+    base += q * (static_cast<size_t>(base[q - 1] < key) +
+                 static_cast<size_t>(base[2 * q - 1] < key) +
+                 static_cast<size_t>(base[3 * q - 1] < key));
+    n -= 3 * q;
   }
-  // n <= 3: a cmov chain finishes the window (re-testing a non-advancing
-  // position is a no-op, so the fixed trip count is safe).
-  for (size_t i = 0; i < n; ++i) base += (*base < key) ? 1 : 0;
-  return static_cast<size_t>(base - data);
+  size_t rest = 0;
+  for (size_t i = 0; i < n; ++i) rest += static_cast<size_t>(base[i] < key);
+  return static_cast<size_t>(base - data) + rest;
 }
 
 inline size_t BranchFreeUpperBound(const double* data, size_t n, double key) {
@@ -105,15 +108,16 @@ inline size_t BranchFreeUpperBound(const double* data, size_t n, double key) {
   // and callers rely on matching std exactly for every input.
   while (n > 3) {
     const size_t q = n >> 2;
-    const size_t s1 = !(key < base[q - 1]) ? q : 0;
-    const size_t s2 = !(key < base[2 * q - 1]) ? q : 0;
-    const size_t s3 = !(key < base[3 * q - 1]) ? q : 0;
-    const size_t adv = s1 + s2 + s3;
-    base += adv;
-    n = adv == 3 * q ? n - 3 * q : q;
+    base += q * (static_cast<size_t>(!(key < base[q - 1])) +
+                 static_cast<size_t>(!(key < base[2 * q - 1])) +
+                 static_cast<size_t>(!(key < base[3 * q - 1])));
+    n -= 3 * q;
   }
-  for (size_t i = 0; i < n; ++i) base += !(key < *base) ? 1 : 0;
-  return static_cast<size_t>(base - data);
+  size_t rest = 0;
+  for (size_t i = 0; i < n; ++i) {
+    rest += static_cast<size_t>(!(key < base[i]));
+  }
+  return static_cast<size_t>(base - data) + rest;
 }
 
 // ---------------------------------------------------------------------------
@@ -193,13 +197,6 @@ inline constexpr double kExpTaylor[12] = {
 // independent, so padding never changes a real lane's bits.
 struct SimdOps {
   int width = 0;
-
-  // BinnedDensity::Selectivity for one block: vectorized edge search plus
-  // a masked bin walk accumulating in scalar bin order. Handles every
-  // input (atoms, inverted and out-of-range queries) — never bails.
-  void (*histogram_block)(const double* edges, const double* counts,
-                          int64_t num_bins, double total_count,
-                          const double* a, const double* b, double* out);
 
   // SamplingEstimator::EstimateSelectivity for one block: two vectorized
   // branch-free searches per lane.

@@ -199,87 +199,6 @@ inline VecD EpanechnikovCdf(VecD t) {
 }
 
 // ---------------------------------------------------------------------------
-// histogram_block: BinnedDensity::Selectivity, one query per lane.
-// ---------------------------------------------------------------------------
-
-void HistogramBlock(const double* edges, const double* counts,
-                    int64_t num_bins, double total_count, const double* a,
-                    const double* b, double* out) {
-  const VecD av = LoadD(a);
-  const VecD bv = LoadD(b);
-  const int64_t num_edges = num_bins + 1;
-
-  // Starting bin: lower_bound on the edges, stepped back one unless at the
-  // front (the scalar path's atom-at-`a` rule).
-  const VecI first = LowerBoundV(edges, num_edges, av);
-  const VecI zero_i = {};
-  const VecI at_front = first == zero_i;
-  const VecI start = at_front ? zero_i : first - 1;
-
-  const VecI nbins = BroadcastI(num_bins);
-  const VecI last_bin = BroadcastI(num_bins - 1);
-  const VecD zero = {};
-  VecD mass = zero;
-  // The walk visits consecutive bins, so each trip's high edge is the next
-  // trip's low edge: carry it across iterations instead of re-gathering.
-  // Exhausted lanes hold a stale clamped (ic, lo); their contributions are
-  // masked off below, so the stale values never reach `mass`.
-  VecI ic = ClampIndex(start, num_bins);
-  VecD lo = Gather(edges, ic);
-  for (int64_t j = 0;; ++j) {
-    const VecI i = start + j;
-    const VecI in_range = i < nbins;
-    const VecD hi = Gather(edges, ic + 1);
-    // The walk stops at the first bin past the query; edges ascend, so
-    // every lane's active mask is monotone and the loop ends when all
-    // lanes have passed their last overlapping bin.
-    const VecI active = in_range & (lo <= bv);
-    if (!AnyTrue(active)) break;
-    const VecD cnt = Gather(counts, ic);
-    const VecD width = hi - lo;
-    // Regular bin: count · overlap/width, added only when overlap > 0.
-    const VecI hi_first = hi < bv;
-    const VecD mn = hi_first ? hi : bv;  // std::min(b, hi)
-    const VecI lo_second = av < lo;
-    const VecD mx = lo_second ? lo : av;  // std::max(a, lo)
-    const VecD overlap = mn - mx;
-    // Atom bin (width <= 0): full count iff a <= lo <= b.
-    const VecI atom = width <= zero;
-    const VecI atom_in = (lo >= av) & (lo <= bv);
-    const VecD atom_contrib = atom_in ? cnt : zero;
-    // Interior bins of a multi-bin query are fully covered: overlap and
-    // width come from the same subtraction, and IEEE x/x == 1.0 exactly
-    // for finite nonzero x, so count · (overlap/width) is just the count.
-    // When every lane is covered, an atom, or inactive, skip the vector
-    // divide — the dominant walk cost — with a bit-identical result.
-    VecD regular_contrib;
-    const VecI full = overlap == width;
-    if (AllTrue(full | atom | ~active)) {
-      regular_contrib = cnt;
-    } else {
-      const VecD regular = cnt * (overlap / width);
-      // Matches the scalar `if (overlap <= 0.0) continue;` — NOT
-      // overlap > 0: a NaN bound makes the overlap NaN, which the scalar
-      // accumulates.
-      const VecI skip_bin = overlap <= zero;
-      regular_contrib = skip_bin ? zero : regular;
-    }
-    VecD contrib = atom ? atom_contrib : regular_contrib;
-    contrib = active ? contrib : zero;
-    mass += contrib;
-    const VecI step = ic < last_bin;
-    ic = step ? ic + 1 : ic;
-    lo = hi;  // stale for clamped lanes, which are inactive from here on
-  }
-
-  const VecD total = BroadcastD(total_count);
-  VecD result = Clamp01(mass / total);
-  const VecI inverted = av > bv;
-  result = inverted ? zero : result;
-  StoreD(out, result);
-}
-
-// ---------------------------------------------------------------------------
 // sorted_count_block: SamplingEstimator::EstimateSelectivity.
 // ---------------------------------------------------------------------------
 
@@ -553,7 +472,6 @@ void PsiPairSums(const double* x, int64_t n, double inv_g, int s,
 const SimdOps* GetOps() {
   static const SimdOps ops = {
       /*width=*/kW,
-      /*histogram_block=*/&HistogramBlock,
       /*sorted_count_block=*/&SortedCountBlock,
       /*kernel_block=*/&KernelBlock,
       /*psi_pair_sums=*/&PsiPairSums,

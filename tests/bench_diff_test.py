@@ -85,6 +85,23 @@ class BenchDiffTest(unittest.TestCase):
         self.assertIn("removed: BM_B", result.stdout)
         self.assertIn("added:   BM_C", result.stdout)
 
+    def test_row_erroring_in_new_file_fails_with_its_message(self):
+        old = self.write("old.json", {"benchmarks": [
+            bench("BM_LiveServe/readers:4", 100.0), bench("BM_B", 50.0)]})
+        errored = bench("BM_LiveServe/readers:4", 0.0, error_occurred=True,
+                        error_message="refresh_errors: 3")
+        new = self.write("new.json", {"benchmarks": [errored,
+                                                     bench("BM_B", 50.0)]})
+        result = self.diff(old, new)
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("BM_LiveServe/readers:4: refresh_errors: 3",
+                      result.stderr)
+        self.assertNotIn("removed:", result.stdout)
+        # Errored only in the old file: listed, not a failure.
+        result = self.diff(new, old)
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertIn("errored in old: BM_LiveServe/readers:4", result.stdout)
+
     def test_files_sharing_no_benchmark_fail(self):
         old = self.write("old.json", BASELINE)
         new = self.write("new.json", {"benchmarks": [bench("BM_Other", 1.0)]})

@@ -55,6 +55,34 @@ TEST(MiseTest, KdeMiseNearAmisePrediction) {
   EXPECT_LT(mise, 3.0 * amise);
 }
 
+TEST(MiseTest, EquiWidthMiseNearAmisePrediction) {
+  // §4.1: Gaussian truth, equi-width histogram at the AMISE-optimal bin
+  // count; the empirical MISE should be within a factor 2 of the AMISE at
+  // the bin width actually used.
+  const NormalDistribution truth(0.0, 1.0);
+  const Domain domain = ContinuousDomain(-8.0, 8.0);
+  const size_t n = 2000;
+  const double r1 = DensityDerivativeRoughness(truth, -8.0, 8.0);
+  const int bins = static_cast<int>(
+      std::lround(domain.width() / OptimalBinWidth(n, r1)));
+  ASSERT_EQ(bins, 58);
+  const double amise = HistogramAmise(domain.width() / bins, n, r1);
+
+  MiseOptions options;
+  options.trials = 5;
+  options.sample_size = n;
+  options.intervals = 1024;
+  const double mise = EstimateMise(
+      [&](std::span<const double> sample) -> DensityFn {
+        auto histogram = std::make_shared<EquiWidthHistogram>(
+            EquiWidthHistogram::Create(sample, domain, bins).value());
+        return [histogram](double x) { return histogram->bins().Density(x); };
+      },
+      truth, domain, options);
+  EXPECT_GT(mise, 0.5 * amise);
+  EXPECT_LT(mise, 2.0 * amise);
+}
+
 TEST(MiseTest, KernelConvergenceRateNearMinusFourFifths) {
   // §4.2: AMISE(h_K) = O(n^−4/5). Fit the empirical log-log slope.
   const NormalDistribution truth(0.0, 1.0);

@@ -1,4 +1,4 @@
-// Golden drift regression suite (ROADMAP item 2): under pinned seeds, the
+// Golden drift regression suite (DESIGN.md §14.4): under pinned seeds, the
 // query-driven estimators must converge below the best static estimator on
 // every drift scenario, and the replay must be bitwise deterministic.
 //

@@ -132,7 +132,6 @@ TEST(SimdDispatchTest, ActiveTierIsSupportedAndConsistent) {
 TEST(SimdDispatchTest, VectorTiersHaveDocumentedWidths) {
   if (const SimdOps* avx2 = SimdOpsForTier(SimdTier::kAvx2)) {
     EXPECT_EQ(avx2->width, 4);
-    EXPECT_NE(avx2->histogram_block, nullptr);
     EXPECT_NE(avx2->sorted_count_block, nullptr);
     EXPECT_NE(avx2->kernel_block, nullptr);
   }

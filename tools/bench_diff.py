@@ -27,6 +27,13 @@ estimator learns slower, so the diff fails when the new value exceeds
 old * 1.25 + 5 — the multiplicative slack absorbs windowing noise on
 large values, the additive slack absorbs jitter near zero.
 
+A row that errored in the new file (`error_occurred`, which
+google-benchmark sets through SkipWithError) fails the diff and prints
+its `error_message`: it measured nothing, so it cannot count as a pass.
+bench_perf_server reports a failed background refresh this way, and the
+batch benches an unsupported SIMD tier. A row that errored only in the
+old file is listed, and a clean new row of that name shows as added.
+
 A missing or empty baseline is not a failure: the first run of a new
 bench (or a fresh checkout without committed baselines) has nothing to
 diff against, so the tool reports "no baseline" and exits 0 — the
@@ -40,19 +47,22 @@ import sys
 
 
 def load_benchmarks(path):
-    """Returns {name: benchmark-entry} for a google-benchmark JSON file."""
+    """Returns ({name: benchmark-entry}, {name: error message}) for a
+    google-benchmark JSON file; errored rows go to the second map only."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     out = {}
+    errors = {}
     for entry in doc.get("benchmarks", []):
         # Skip aggregate rows (mean/median/stddev of --benchmark_repetitions);
         # compare the raw iteration rows only.
         if entry.get("run_type") == "aggregate":
             continue
         if entry.get("error_occurred"):
+            errors[entry["name"]] = entry.get("error_message", "")
             continue
         out[entry["name"]] = entry
-    return out
+    return out, errors
 
 
 def time_per_iter(entry):
@@ -86,8 +96,8 @@ def main():
         )
         return 0
 
-    old = load_benchmarks(args.old)
-    new = load_benchmarks(args.new)
+    old, old_errors = load_benchmarks(args.old)
+    new, new_errors = load_benchmarks(args.new)
 
     regressions = []
     identity_breaks = []
@@ -138,11 +148,22 @@ def main():
                     convergence_regressions.append((name, old_conv, new_conv))
 
     for name in only_old:
-        print(f"removed: {name}")
+        if name not in new_errors:
+            print(f"removed: {name}")
     for name in only_new:
         print(f"added:   {name}")
+    for name in sorted(set(old_errors) - set(new_errors)):
+        print(f"errored in old: {name}: {old_errors[name]}")
 
     ok = True
+    if new_errors:
+        ok = False
+        print(
+            f"\nFAIL: {len(new_errors)} benchmark(s) errored in the new file:",
+            file=sys.stderr,
+        )
+        for name in sorted(new_errors):
+            print(f"  {name}: {new_errors[name]}", file=sys.stderr)
     if regressions:
         ok = False
         print(
@@ -170,7 +191,7 @@ def main():
                 f"  {name}: {old_conv:g} -> {new_conv:g} queries",
                 file=sys.stderr,
             )
-    if not shared:
+    if not shared and not new_errors:
         if old and new:
             ok = False
             print(
