@@ -555,14 +555,14 @@ Status LiveStatisticsServer::Ingest(const std::string& relation,
     threshold_hit = options_.refresh_ingest_rows > 0 &&
                     since >= options_.refresh_ingest_rows;
   }
+  // The batch is logged and folded: from here on Ingest succeeds. A failed
+  // refresh is counted in refresh_errors; returning it would invite a
+  // retry that folds the batch twice.
   if (threshold_hit) {
-    SELEST_RETURN_IF_ERROR(
-        MaybeTriggerRefresh(column, &column->threshold_refreshes));
+    MaybeTriggerRefresh(column, &column->threshold_refreshes);
   }
-  // Fire-and-forget: a failed inline TTL refresh is already counted in
-  // refresh_errors and must not fail the ingest that noticed it.
   if (TtlExpired(*column)) {
-    (void)MaybeTriggerRefresh(column, &column->ttl_refreshes);
+    MaybeTriggerRefresh(column, &column->ttl_refreshes);
   }
   return Status::Ok();
 }
@@ -626,7 +626,7 @@ StatusOr<ServedEstimate> LiveStatisticsServer::EstimateDetailed(
   // After the guard: with background_refresh off the refresh runs inline,
   // and its publish must not happen inside this reader's own section.
   if (stale != nullptr) {
-    (void)MaybeTriggerRefresh(stale, &stale->ttl_refreshes);
+    MaybeTriggerRefresh(stale, &stale->ttl_refreshes);
   }
   return served;
 }
@@ -675,17 +675,17 @@ bool LiveStatisticsServer::TtlExpired(Column& column) const {
   return now - anchor >= options_.ttl_ticks;
 }
 
-Status LiveStatisticsServer::MaybeTriggerRefresh(
+void LiveStatisticsServer::MaybeTriggerRefresh(
     const std::shared_ptr<Column>& column,
     std::atomic<uint64_t>* trigger_counter) {
-  if (column->refresh_in_flight.exchange(true)) return Status::Ok();
+  if (column->refresh_in_flight.exchange(true)) return;
   if (trigger_counter != nullptr) {
     trigger_counter->fetch_add(1, std::memory_order_relaxed);
   }
   if (!options_.background_refresh) {
-    const Status status = DoRefresh(column);
+    (void)DoRefresh(column);  // a failure is counted in refresh_errors
     column->refresh_in_flight.store(false);
-    return status;
+    return;
   }
   {
     std::lock_guard<std::mutex> lock(refresh_mutex_);
@@ -701,7 +701,6 @@ Status LiveStatisticsServer::MaybeTriggerRefresh(
     --pending_refreshes_;
     refresh_cv_.notify_all();
   });
-  return Status::Ok();
 }
 
 void LiveStatisticsServer::ReleaseRefreshClaim(
@@ -714,7 +713,7 @@ void LiveStatisticsServer::ReleaseRefreshClaim(
   if (succeeded && options_.refresh_ingest_rows > 0 &&
       column->rows_since_refresh.load(std::memory_order_relaxed) >=
           options_.refresh_ingest_rows) {
-    (void)MaybeTriggerRefresh(column, &column->threshold_refreshes);
+    MaybeTriggerRefresh(column, &column->threshold_refreshes);
   }
 }
 

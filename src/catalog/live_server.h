@@ -226,8 +226,12 @@ class LiveStatisticsServer {
   // accumulator (exact or bounded-drift, per estimator type) and the
   // reservoir. Values are clamped to the column's domain (±inf to its
   // edges); a batch holding a NaN is rejected whole with kInvalidArgument
-  // before it is logged. Returns before any triggered background refresh
-  // completes; the served generation is unchanged until the flip.
+  // before it is logged; a failed WAL append folds nothing, so the caller
+  // may retry the batch. Once the batch is logged and folded, Ingest
+  // returns OK: a refresh it triggers that fails (inline or in the
+  // background) is counted in refresh_errors instead. Returns before any
+  // triggered background refresh completes; the served generation is
+  // unchanged until the flip.
   Status Ingest(const std::string& relation, const std::string& attribute,
                 std::span<const double> rows);
 
@@ -344,10 +348,11 @@ class LiveStatisticsServer {
   // Starts a refresh unless one is already running (coalescing).
   // `trigger_counter` (may be null) is bumped only when this call actually
   // claims the refresh, so policy counters count refreshes started, not
-  // every serve that noticed staleness. Returns the refresh status when
-  // run inline, OK when scheduled or coalesced.
-  Status MaybeTriggerRefresh(const std::shared_ptr<Column>& column,
-                             std::atomic<uint64_t>* trigger_counter);
+  // every serve that noticed staleness. Inline or in the background, a
+  // failed refresh is counted in refresh_errors and the old generation
+  // keeps serving.
+  void MaybeTriggerRefresh(const std::shared_ptr<Column>& column,
+                           std::atomic<uint64_t>* trigger_counter);
   // The refresh body: produce the next generation (with retry), flip,
   // write back.
   Status DoRefresh(const std::shared_ptr<Column>& column);

@@ -58,14 +58,6 @@ double GuardedEstimator::EstimateSelectivity(double a, double b) const {
   return std::clamp((b - a) / width, 0.0, 1.0);
 }
 
-void GuardedEstimator::EstimateSelectivityBatch(
-    std::span<const RangeQuery> queries, std::span<double> out) const {
-  SELEST_CHECK_EQ(queries.size(), out.size());
-  BatchWith(queries, out, [this](const RangeQuery& q) {
-    return GuardedEstimator::EstimateSelectivity(q.a, q.b);
-  });
-}
-
 size_t GuardedEstimator::StorageBytes() const {
   size_t total = 2 * sizeof(double);  // the domain endpoints
   for (const auto& link : chain_) total += link->StorageBytes();

@@ -69,8 +69,6 @@ class GuardedEstimator : public SelectivityEstimator {
   // NaN/Inf bounds and inverted ranges.
   using SelectivityEstimator::EstimateSelectivity;
   double EstimateSelectivity(double a, double b) const override;
-  void EstimateSelectivityBatch(std::span<const RangeQuery> queries,
-                                std::span<double> out) const override;
 
   // Sum over the chain (the fallbacks are part of the persisted state).
   size_t StorageBytes() const override;

@@ -6,7 +6,6 @@
 
 #include "src/est/estimator_snapshot.h"
 #include "src/smoothing/normal_scale.h"
-#include "src/util/check.h"
 
 namespace selest {
 
@@ -142,63 +141,6 @@ double HybridEstimator::EstimateSelectivity(double a, double b) const {
     total += cell.weight * cell.estimator.EstimateSelectivity(lo, hi);
   }
   return std::clamp(total, 0.0, 1.0);
-}
-
-void HybridEstimator::EstimateSelectivityBatch(
-    std::span<const RangeQuery> queries, std::span<double> out) const {
-  SELEST_CHECK_EQ(queries.size(), out.size());
-  const auto per_query = [this](const RangeQuery& q) {
-    return HybridEstimator::EstimateSelectivity(q.a, q.b);
-  };
-  const SimdOps* ops = ActiveSimdOps();
-  bool vectorizable = ops != nullptr;
-  for (const Cell& cell : cells_) {
-    vectorizable = vectorizable && cell.estimator.options().kernel.type() ==
-                                       KernelType::kEpanechnikov;
-  }
-  if (!vectorizable) {
-    BatchWith(queries, out, per_query);
-    return;
-  }
-  // Per-cell kernel args built once per batch (raw views into each cell's
-  // SoA state); the block lambda only reads them, so sharing across pool
-  // threads is safe.
-  std::vector<KernelBlockArgs> cell_args;
-  cell_args.reserve(cells_.size());
-  for (const Cell& cell : cells_) {
-    cell_args.push_back(cell.estimator.MakeSimdArgs());
-  }
-  BatchWithBlocks(
-      queries, out, ops->width,
-      [this, ops, &cell_args](const double* a, const double* b, double* r) {
-        alignas(kSimdAlign) double lo[kMaxSimdWidth];
-        alignas(kSimdAlign) double hi[kMaxSimdWidth];
-        alignas(kSimdAlign) double cell_r[kMaxSimdWidth];
-        const int w = ops->width;
-        for (int k = 0; k < w; ++k) r[k] = 0.0;
-        for (size_t c = 0; c < cells_.size(); ++c) {
-          const Cell& cell = cells_[c];
-          for (int k = 0; k < w; ++k) {
-            lo[k] = std::max(a[k], cell.bin_domain.lo);
-            hi[k] = std::min(b[k], cell.bin_domain.hi);
-          }
-          // Lanes the scalar path skips (lo >= hi) still go through the
-          // block call — their value is discarded below — so one call
-          // serves the whole block.
-          if (ops->kernel_block(cell_args[c], lo, hi, cell_r) == 0) {
-            return false;  // mixed case split inside this cell
-          }
-          for (int k = 0; k < w; ++k) {
-            if (lo[k] < hi[k]) r[k] += cell.weight * cell_r[k];
-          }
-        }
-        for (int k = 0; k < w; ++k) {
-          r[k] = std::clamp(r[k], 0.0, 1.0);
-          if (a[k] > b[k]) r[k] = 0.0;
-        }
-        return true;
-      },
-      per_query);
 }
 
 size_t HybridEstimator::StorageBytes() const {

@@ -200,23 +200,18 @@ KernelBlockArgs KernelEstimator::MakeSimdArgs() const {
 void KernelEstimator::EstimateSelectivityBatch(
     std::span<const RangeQuery> queries, std::span<double> out) const {
   SELEST_CHECK_EQ(queries.size(), out.size());
-  const auto per_query = [this](const RangeQuery& q) {
-    return KernelEstimator::EstimateSelectivity(q.a, q.b);
-  };
   const SimdOps* ops = ActiveSimdOps();
   // The vector kernel replays the Epanechnikov CDF only; other kernel
   // shapes keep the scalar path.
   if (ops == nullptr || options_.kernel.type() != KernelType::kEpanechnikov) {
-    BatchWith(queries, out, per_query);
+    SelectivityEstimator::EstimateSelectivityBatch(queries, out);
     return;
   }
   const KernelBlockArgs args = MakeSimdArgs();
-  BatchWithBlocks(
-      queries, out, ops->width,
-      [&args, ops](const double* a, const double* b, double* r) {
-        return ops->kernel_block(args, a, b, r) != 0;
-      },
-      per_query);
+  BatchWithBlocks(queries, out, ops->width,
+                  [&args, ops](const double* a, const double* b, double* r) {
+                    return ops->kernel_block(args, a, b, r) != 0;
+                  });
 }
 
 double KernelEstimator::EstimateSelectivityAlgorithm1(double a,

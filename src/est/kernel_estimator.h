@@ -50,6 +50,9 @@ class KernelEstimator : public SelectivityEstimator {
 
   // O(log n + k) estimate; the query is clamped to the domain first.
   double EstimateSelectivity(double a, double b) const override;
+  // Epanechnikov batches run the vector block kernel of the active SIMD
+  // tier (util/simd.h); other kernel shapes and the scalar tier take the
+  // base per-query loop. Either way the batch runs on the calling thread.
   void EstimateSelectivityBatch(std::span<const RangeQuery> queries,
                                 std::span<double> out) const override;
 
@@ -65,13 +68,6 @@ class KernelEstimator : public SelectivityEstimator {
   double bandwidth() const { return options_.bandwidth; }
   const KernelEstimatorOptions& options() const { return options_; }
   size_t sample_size() const { return original_count_; }
-
-  // Static inputs of the vectorized block kernel (util/simd.h): raw views
-  // into this estimator's SoA hot state (sorted sample strip, boundary
-  // strip tables). Valid only while this estimator is alive and unmoved —
-  // build per batch call, never store. Used here and by the hybrid
-  // estimator's per-cell batch dispatch.
-  KernelBlockArgs MakeSimdArgs() const;
 
   EstimatorTag SnapshotTypeTag() const override {
     return EstimatorTag::kKernel;
@@ -104,6 +100,12 @@ class KernelEstimator : public SelectivityEstimator {
   // Sum of per-sample CDF differences over the (already clamped) range,
   // divided by the original sample count.
   double CdfSum(double a, double b) const;
+
+  // Static inputs of the vectorized block kernel (util/simd.h): raw views
+  // into this estimator's SoA hot state (sorted sample strip, boundary
+  // strip tables). Valid only while this estimator is alive and unmoved —
+  // build per batch call, never store.
+  KernelBlockArgs MakeSimdArgs() const;
 
   static StripTable BuildStripTable(const Kde& kde, double lo, double hi,
                                     int nodes);

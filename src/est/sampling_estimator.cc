@@ -32,22 +32,18 @@ double SamplingEstimator::EstimateSelectivity(double a, double b) const {
 void SamplingEstimator::EstimateSelectivityBatch(
     std::span<const RangeQuery> queries, std::span<double> out) const {
   SELEST_CHECK_EQ(queries.size(), out.size());
-  const auto per_query = [this](const RangeQuery& q) {
-    return EstimateSelectivity(q.a, q.b);
-  };
   const SimdOps* ops = ActiveSimdOps();
   if (ops == nullptr) {
-    BatchWith(queries, out, per_query);
+    SelectivityEstimator::EstimateSelectivityBatch(queries, out);
     return;
   }
-  BatchWithBlocks(
-      queries, out, ops->width,
-      [this, ops](const double* a, const double* b, double* r) {
-        ops->sorted_count_block(sorted_.data(),
-                                static_cast<int64_t>(sorted_.size()), a, b, r);
-        return true;
-      },
-      per_query);
+  BatchWithBlocks(queries, out, ops->width,
+                  [this, ops](const double* a, const double* b, double* r) {
+                    ops->sorted_count_block(
+                        sorted_.data(), static_cast<int64_t>(sorted_.size()),
+                        a, b, r);
+                    return true;
+                  });
 }
 
 size_t SamplingEstimator::StorageBytes() const {

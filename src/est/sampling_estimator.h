@@ -20,6 +20,8 @@ class SamplingEstimator : public SelectivityEstimator {
   static StatusOr<SamplingEstimator> Create(std::span<const double> sample);
 
   double EstimateSelectivity(double a, double b) const override;
+  // The vector block kernel of the active SIMD tier (util/simd.h), or the
+  // base per-query loop on the scalar tier, on the calling thread.
   void EstimateSelectivityBatch(std::span<const RangeQuery> queries,
                                 std::span<double> out) const override;
   size_t StorageBytes() const override;

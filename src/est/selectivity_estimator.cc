@@ -28,9 +28,9 @@ Status SelectivityEstimator::ObserveTrueSelectivity(
 void SelectivityEstimator::EstimateSelectivityBatch(
     std::span<const RangeQuery> queries, std::span<double> out) const {
   SELEST_CHECK_EQ(queries.size(), out.size());
-  BatchWith(queries, out, [this](const RangeQuery& q) {
-    return EstimateSelectivity(q.a, q.b);
-  });
+  for (size_t i = 0; i < queries.size(); ++i) {
+    out[i] = EstimateSelectivity(queries[i].a, queries[i].b);
+  }
 }
 
 }  // namespace selest

@@ -10,7 +10,9 @@
 // not hide mutable caches or lazy initialization behind const methods;
 // the parallel experiment runner (eval/parallel_experiment.h) calls into
 // one estimator instance from many threads at once, and the tsan CMake
-// preset exists to enforce this.
+// preset exists to enforce this. Estimators never fan work out
+// themselves: a batch runs on the thread that calls it, and only the
+// eval layer schedules work across threads.
 #ifndef SELEST_EST_SELECTIVITY_ESTIMATOR_H_
 #define SELEST_EST_SELECTIVITY_ESTIMATOR_H_
 
@@ -19,7 +21,6 @@
 #include <span>
 #include <string>
 
-#include "src/exec/parallel_for.h"
 #include "src/query/range_query.h"
 #include "src/util/serialize.h"
 #include "src/util/simd.h"
@@ -62,9 +63,9 @@ class SelectivityEstimator {
 
   // Estimates every query into `out` (same size as `queries`). Each out[i]
   // is exactly the value EstimateSelectivity(queries[i]) returns — batching
-  // changes the evaluation cost, never the result. The default fans query
-  // chunks across the shared thread pool (serially when already on a pool
-  // worker); hot estimators override it with a devirtualized inner loop.
+  // changes the evaluation cost, never the result. Runs entirely on the
+  // calling thread. The default is a per-query loop; the estimators with a
+  // vector kernel (sampling, kernel) override it with BatchWithBlocks.
   virtual void EstimateSelectivityBatch(std::span<const RangeQuery> queries,
                                         std::span<double> out) const;
 
@@ -140,63 +141,39 @@ class SelectivityEstimator {
   virtual uint64_t feedback_observations() const { return 0; }
 
  protected:
-  // Shared body for EstimateSelectivityBatch overrides: fans chunks across
-  // the shared pool and runs `per_query(query) -> double` over each chunk.
-  // Overrides pass a lambda that calls their concrete EstimateSelectivity
-  // qualified, so the inner loop is a direct (inlinable) call instead of a
-  // per-query virtual dispatch.
-  template <typename PerQuery>
-  static void BatchWith(std::span<const RangeQuery> queries,
-                        std::span<double> out, PerQuery&& per_query) {
-    ThreadPool& pool = ThreadPool::Default();
-    ParallelFor(&pool, queries.size(), 4 * pool.num_threads(),
-                [&queries, &out, &per_query](size_t begin, size_t end,
-                                             size_t /*chunk*/) {
-                  for (size_t i = begin; i < end; ++i) {
-                    out[i] = per_query(queries[i]);
-                  }
-                });
-  }
-
-  // Vector-tier body: fans chunks across the pool like BatchWith, but each
-  // chunk is processed `width` queries at a time through `block(a, b, r)`
-  // (width-long kSimdAlign-aligned arrays; returns false to decline). A
-  // declined block — and any queries a partial tail cannot pad — falls back
-  // to `per_query`, so every out[i] is the scalar value regardless of which
-  // path computed it. Partial tails are padded by replicating their last
-  // query: block lanes are independent, so padding never perturbs a real
-  // lane.
-  template <typename BlockFn, typename PerQuery>
-  static void BatchWithBlocks(std::span<const RangeQuery> queries,
-                              std::span<double> out, int width, BlockFn&& block,
-                              PerQuery&& per_query) {
-    ThreadPool& pool = ThreadPool::Default();
-    ParallelFor(&pool, queries.size(), 4 * pool.num_threads(),
-                [&queries, &out, &block, &per_query, width](
-                    size_t begin, size_t end, size_t /*chunk*/) {
-                  alignas(kSimdAlign) double a[kMaxSimdWidth];
-                  alignas(kSimdAlign) double b[kMaxSimdWidth];
-                  alignas(kSimdAlign) double r[kMaxSimdWidth];
-                  const size_t w = static_cast<size_t>(width);
-                  for (size_t i = begin; i < end; i += w) {
-                    const size_t m = end - i < w ? end - i : w;
-                    for (size_t k = 0; k < m; ++k) {
-                      a[k] = queries[i + k].a;
-                      b[k] = queries[i + k].b;
-                    }
-                    for (size_t k = m; k < w; ++k) {
-                      a[k] = a[m - 1];
-                      b[k] = b[m - 1];
-                    }
-                    if (block(a, b, r)) {
-                      for (size_t k = 0; k < m; ++k) out[i + k] = r[k];
-                    } else {
-                      for (size_t k = 0; k < m; ++k) {
-                        out[i + k] = per_query(queries[i + k]);
-                      }
-                    }
-                  }
-                });
+  // Vector-tier body: processes `queries` in order, `width` queries at a
+  // time through `block(a, b, r)` (width-long kSimdAlign-aligned arrays;
+  // returns false to decline). A declined block — and any queries a
+  // partial tail cannot pad — falls back to EstimateSelectivity, so every
+  // out[i] is the scalar value regardless of which path computed it.
+  // Partial tails are padded by replicating their last query: block lanes
+  // are independent, so padding never perturbs a real lane.
+  template <typename BlockFn>
+  void BatchWithBlocks(std::span<const RangeQuery> queries,
+                       std::span<double> out, int width,
+                       BlockFn&& block) const {
+    alignas(kSimdAlign) double a[kMaxSimdWidth];
+    alignas(kSimdAlign) double b[kMaxSimdWidth];
+    alignas(kSimdAlign) double r[kMaxSimdWidth];
+    const size_t w = static_cast<size_t>(width);
+    for (size_t i = 0; i < queries.size(); i += w) {
+      const size_t m = queries.size() - i < w ? queries.size() - i : w;
+      for (size_t k = 0; k < m; ++k) {
+        a[k] = queries[i + k].a;
+        b[k] = queries[i + k].b;
+      }
+      for (size_t k = m; k < w; ++k) {
+        a[k] = a[m - 1];
+        b[k] = b[m - 1];
+      }
+      if (block(a, b, r)) {
+        for (size_t k = 0; k < m; ++k) out[i + k] = r[k];
+      } else {
+        for (size_t k = 0; k < m; ++k) {
+          out[i + k] = EstimateSelectivity(queries[i + k].a, queries[i + k].b);
+        }
+      }
+    }
   }
 };
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/data/dataset.h"
+#include "src/eval/parallel_experiment.h"
 #include "src/query/streaming_ground_truth.h"
 #include "src/query/workload.h"
 #include "src/sample/sampler.h"
@@ -83,7 +84,7 @@ StatusOr<StreamingExperimentSetup> TryMakeStreamingSetup(
 ErrorReport EvaluateOnStreamingSetup(const SelectivityEstimator& estimator,
                                      const StreamingExperimentSetup& setup) {
   std::vector<double> estimated(setup.queries.size(), 0.0);
-  estimator.EstimateSelectivityBatch(setup.queries, estimated);
+  EstimateParallel(estimator, setup.queries, estimated);
   return AccumulateReport(setup.exact_counts, estimated,
                           static_cast<size_t>(setup.num_records));
 }

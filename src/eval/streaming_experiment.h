@@ -49,9 +49,10 @@ StatusOr<StreamingExperimentSetup> TryMakeStreamingSetup(
     ColumnSource& source, const ProtocolConfig& protocol);
 
 // Scores an already-built estimator against the setup: batch estimation
-// over the query file, then the same fixed-order reduction as the
-// in-memory path (AccumulateReport), so a given (estimator, setup) pair
-// scores bit-identically however the estimator was built.
+// over query chunks on the shared pool (EstimateParallel), then the same
+// fixed-order reduction as the in-memory path (AccumulateReport), so a
+// given (estimator, setup) pair scores bit-identically however the
+// estimator was built.
 ErrorReport EvaluateOnStreamingSetup(const SelectivityEstimator& estimator,
                                      const StreamingExperimentSetup& setup);
 

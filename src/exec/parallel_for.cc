@@ -1,7 +1,6 @@
 #include "src/exec/parallel_for.h"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -57,111 +56,79 @@ class Latch {
   size_t count_;
 };
 
+bool Failed(const std::exception_ptr& error) { return error != nullptr; }
+bool Failed(const Status& status) { return !status.ok(); }
+
+// The one scheduler behind ParallelFor and TryParallelFor. Runs
+// run_chunk(i) for every i in [0, num_chunks), each into its own outcome
+// slot, and returns the outcome of the lowest-indexed failed chunk (a
+// default Outcome when none failed) once every chunk has finished. One
+// slot per chunk makes that pick deterministic, not a race between
+// failing chunks; every chunk runs whatever the others did, so outputs
+// and fault-point hit counts never depend on an early exit.
+template <typename Outcome, typename RunChunk>
+Outcome RunChunks(ThreadPool* pool, size_t num_chunks, RunChunk&& run_chunk) {
+  std::vector<Outcome> outcomes(num_chunks);
+  const bool serial = pool == nullptr || num_chunks <= 1 ||
+                      ThreadPool::InWorkerThread() || t_in_parallel_region;
+  if (serial) {
+    for (size_t i = 0; i < num_chunks; ++i) outcomes[i] = run_chunk(i);
+  } else {
+    Latch latch(num_chunks);
+    auto run = [&](size_t i) {
+      outcomes[i] = run_chunk(i);
+      latch.CountDown();
+    };
+    // The calling thread takes chunk 0 while the workers drain the rest:
+    // with a single-worker pool this still overlaps caller and worker, and
+    // a caller-side chunk guarantees progress even if every worker is busy.
+    for (size_t i = 1; i < num_chunks; ++i) {
+      pool->Schedule([&run, i] { run(i); });
+    }
+    t_in_parallel_region = true;
+    run(0);
+    t_in_parallel_region = false;
+    latch.Wait();
+  }
+  for (Outcome& outcome : outcomes) {
+    if (Failed(outcome)) return std::move(outcome);
+  }
+  return Outcome();
+}
+
 }  // namespace
 
 void ParallelFor(ThreadPool* pool, size_t n, size_t num_chunks,
                  const std::function<void(size_t, size_t, size_t)>& body) {
   const auto chunks = SplitRange(n, num_chunks);
-  if (chunks.empty()) return;
-
-  const bool serial = pool == nullptr || chunks.size() == 1 ||
-                      ThreadPool::InWorkerThread() || t_in_parallel_region;
-  if (serial) {
-    for (size_t i = 0; i < chunks.size(); ++i) {
-      body(chunks[i].first, chunks[i].second, i);
-    }
-    return;
-  }
-
-  // One exception slot per chunk so the rethrow choice is deterministic
-  // (lowest chunk index), not a race between throwing chunks.
-  std::vector<std::exception_ptr> errors(chunks.size());
-  Latch latch(chunks.size());
-  auto run_chunk = [&](size_t i) {
-    try {
-      body(chunks[i].first, chunks[i].second, i);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-    latch.CountDown();
-  };
-
-  // The calling thread takes chunk 0 while the workers drain the rest:
-  // with a single-worker pool this still overlaps caller and worker, and a
-  // caller-side chunk guarantees progress even if every worker is busy.
-  for (size_t i = 1; i < chunks.size(); ++i) {
-    pool->Schedule([&run_chunk, i] { run_chunk(i); });
-  }
-  t_in_parallel_region = true;
-  run_chunk(0);
-  t_in_parallel_region = false;
-  latch.Wait();
-
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  const std::exception_ptr error = RunChunks<std::exception_ptr>(
+      pool, chunks.size(), [&](size_t i) -> std::exception_ptr {
+        try {
+          body(chunks[i].first, chunks[i].second, i);
+        } catch (...) {
+          return std::current_exception();
+        }
+        return nullptr;
+      });
+  if (error) std::rethrow_exception(error);
 }
-
-namespace {
-
-// One chunk of a TryParallelFor: the fault-point check, the body, and an
-// exception-to-Status firewall, in that order. Runs on pool workers and on
-// the calling thread.
-Status RunTryChunk(const std::function<Status(size_t, size_t, size_t)>& body,
-                   size_t begin, size_t end, size_t chunk) {
-  SELEST_RETURN_IF_ERROR(FaultInjector::Check(kFaultPointExecTask));
-  try {
-    return body(begin, end, chunk);
-  } catch (const std::exception& e) {
-    return InternalError(std::string("task threw: ") + e.what());
-  } catch (...) {
-    return InternalError("task threw a non-std exception");
-  }
-}
-
-}  // namespace
 
 Status TryParallelFor(
     ThreadPool* pool, size_t n, size_t num_chunks,
     const std::function<Status(size_t, size_t, size_t)>& body) {
   const auto chunks = SplitRange(n, num_chunks);
-  if (chunks.empty()) return Status::Ok();
-
-  const bool serial = pool == nullptr || chunks.size() == 1 ||
-                      ThreadPool::InWorkerThread() || t_in_parallel_region;
-  if (serial) {
-    // Like the parallel path, every chunk runs even after a failure —
-    // determinism of the outputs (and of the fault-point hit counters)
-    // over early exit.
-    Status first_error;
-    for (size_t i = 0; i < chunks.size(); ++i) {
-      Status status = RunTryChunk(body, chunks[i].first, chunks[i].second, i);
-      if (!status.ok() && first_error.ok()) first_error = std::move(status);
+  // Per chunk: the fault-point check, the body, and an exception-to-Status
+  // firewall, in that order.
+  return RunChunks<Status>(pool, chunks.size(), [&](size_t i) -> Status {
+    SELEST_RETURN_IF_ERROR(FaultInjector::Check(kFaultPointExecTask));
+    try {
+      return body(chunks[i].first, chunks[i].second, i);
+    } catch (const std::exception& e) {
+      return InternalError(std::string("task threw: ") + e.what());
+    } catch (...) {
+      return InternalError("task threw a non-std exception");
     }
-    return first_error;
-  }
-
-  // One Status slot per chunk so the returned error is deterministically
-  // the lowest-indexed failure, not a race between failing chunks.
-  std::vector<Status> statuses(chunks.size());
-  Latch latch(chunks.size());
-  auto run_chunk = [&](size_t i) {
-    statuses[i] = RunTryChunk(body, chunks[i].first, chunks[i].second, i);
-    latch.CountDown();
-  };
-
-  for (size_t i = 1; i < chunks.size(); ++i) {
-    pool->Schedule([&run_chunk, i] { run_chunk(i); });
-  }
-  t_in_parallel_region = true;
-  run_chunk(0);
-  t_in_parallel_region = false;
-  latch.Wait();
-
-  for (Status& status : statuses) {
-    if (!status.ok()) return std::move(status);
-  }
-  return Status::Ok();
+  });
 }
 
 }  // namespace selest

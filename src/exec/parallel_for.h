@@ -6,7 +6,9 @@
 // parallelism level as long as each chunk writes only to its own output
 // slots and any floating-point reduction happens after the fan-out, in
 // chunk order (the "fixed-order reduction" contract; see DESIGN.md,
-// Execution layer).
+// Execution layer). The eval layer (eval/parallel_experiment.h) is the one
+// caller that fans estimation out; estimator batches run on whichever
+// thread runs their chunk.
 #ifndef SELEST_EXEC_PARALLEL_FOR_H_
 #define SELEST_EXEC_PARALLEL_FOR_H_
 
@@ -35,7 +37,8 @@ std::vector<std::pair<size_t, size_t>> SplitRange(size_t n, size_t num_chunks);
 // to serial instead of deadlocking on or flooding the shared queue.
 //
 // If chunk bodies throw, the exception from the lowest-indexed throwing
-// chunk is rethrown after all chunks complete; the pool remains usable.
+// chunk is rethrown after all chunks complete — on the serial path too —
+// and the pool remains usable.
 void ParallelFor(ThreadPool* pool, size_t n, size_t num_chunks,
                  const std::function<void(size_t, size_t, size_t)>& body);
 

@@ -1,11 +1,12 @@
 // A deterministic fixed-size thread pool (no work stealing).
 //
-// The batch estimation API and the parallel experiment runner fan work out
-// as contiguous, pre-partitioned chunks (see exec/parallel_for.h). Which
-// worker runs which chunk is intentionally *not* part of the contract:
-// every chunk writes only to its own output slots, and all reductions
-// happen in a fixed serial order after the fan-out completes, so results
-// are bit-identical regardless of thread count or scheduling order.
+// The parallel experiment runner fans work out as contiguous,
+// pre-partitioned chunks (see exec/parallel_for.h); the live server runs
+// its background refreshes here. Which worker runs which chunk is
+// intentionally *not* part of the contract: every chunk writes only to its
+// own output slots, and all reductions happen in a fixed serial order
+// after the fan-out completes, so results are bit-identical regardless of
+// thread count or scheduling order.
 //
 // Tasks must not block on work enqueued to the same pool (classic nested-
 // wait deadlock). ParallelFor enforces this by degrading to serial

@@ -122,13 +122,6 @@ Status FeedbackHistogram::ObserveTrueSelectivity(const RangeQuery& query,
   return Status::Ok();
 }
 
-void FeedbackHistogram::EstimateSelectivityBatch(
-    std::span<const RangeQuery> queries, std::span<double> out) const {
-  BatchWith(queries, out, [this](const RangeQuery& q) {
-    return FeedbackHistogram::EstimateSelectivity(q.a, q.b);
-  });
-}
-
 Status FeedbackHistogram::SerializeState(ByteWriter& writer) const {
   WriteDomain(writer, domain_);
   writer.WriteDouble(options_.learning_rate);

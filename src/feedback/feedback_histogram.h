@@ -50,8 +50,6 @@ class FeedbackHistogram : public SelectivityEstimator {
       const FeedbackHistogramOptions& options);
 
   double EstimateSelectivity(double a, double b) const override;
-  void EstimateSelectivityBatch(std::span<const RangeQuery> queries,
-                                std::span<double> out) const override;
   size_t StorageBytes() const override;
   std::string name() const override;
 

@@ -94,13 +94,6 @@ double ReconstructedDistributionEstimator::EstimateSelectivity(
   return EqualWidthGrid{domain_, masses_.size()}.Selectivity(masses_, a, b);
 }
 
-void ReconstructedDistributionEstimator::EstimateSelectivityBatch(
-    std::span<const RangeQuery> queries, std::span<double> out) const {
-  BatchWith(queries, out, [this](const RangeQuery& q) {
-    return ReconstructedDistributionEstimator::EstimateSelectivity(q.a, q.b);
-  });
-}
-
 void ReconstructedDistributionEstimator::ApplyMaxEntropy(
     const SelectivityConstraint& c) {
   const EqualWidthGrid grid{domain_, masses_.size()};

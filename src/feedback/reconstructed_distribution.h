@@ -75,8 +75,6 @@ class ReconstructedDistributionEstimator : public SelectivityEstimator {
       const ReconstructedDistributionOptions& options);
 
   double EstimateSelectivity(double a, double b) const override;
-  void EstimateSelectivityBatch(std::span<const RangeQuery> queries,
-                                std::span<double> out) const override;
   size_t StorageBytes() const override;
   std::string name() const override;
 

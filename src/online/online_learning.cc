@@ -62,13 +62,6 @@ double OnlineLearningEstimator::EstimateSelectivity(double a, double b) const {
   return EqualWidthGrid{domain_, weights_.size()}.Selectivity(weights_, a, b);
 }
 
-void OnlineLearningEstimator::EstimateSelectivityBatch(
-    std::span<const RangeQuery> queries, std::span<double> out) const {
-  BatchWith(queries, out, [this](const RangeQuery& q) {
-    return OnlineLearningEstimator::EstimateSelectivity(q.a, q.b);
-  });
-}
-
 Status OnlineLearningEstimator::ObserveTrueSelectivity(
     const RangeQuery& query, double true_selectivity) {
   if (std::isnan(true_selectivity) || true_selectivity < 0.0 ||

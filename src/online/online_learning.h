@@ -62,8 +62,6 @@ class OnlineLearningEstimator : public SelectivityEstimator {
       const OnlineLearningOptions& options);
 
   double EstimateSelectivity(double a, double b) const override;
-  void EstimateSelectivityBatch(std::span<const RangeQuery> queries,
-                                std::span<double> out) const override;
   size_t StorageBytes() const override;
   std::string name() const override;
 

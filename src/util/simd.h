@@ -246,10 +246,10 @@ const SimdOps* ActiveSimdOps();
 // tier); used by the identity tests and the speedup benches.
 const SimdOps* SimdOpsForTier(SimdTier tier);
 
-// Scoped tier override for tests and benchmarks. Takes effect for batch
-// calls issued after construction (including work those calls fan out to
-// pool threads); do not change tiers while a batch is in flight.
-// Requires SimdTierSupported(tier).
+// Scoped tier override for tests and benchmarks. The override is
+// process-wide: it takes effect for batch calls issued after construction
+// on any thread, including the eval layer's pool workers; do not change
+// tiers while a batch is in flight. Requires SimdTierSupported(tier).
 class ScopedSimdTier {
  public:
   explicit ScopedSimdTier(SimdTier tier);

@@ -5,15 +5,25 @@
 //   * σ̂(a, m) + σ̂(m, b) ≈ σ̂(a, b) for histogram estimators (additivity
 //     of the bin-mass integral);
 //   * EstimateSelectivityBatch ≡ per-query EstimateSelectivity,
-//     element-wise and exactly (the batch API's core contract).
+//     element-wise and exactly (the batch API's core contract);
+//   * a batch runs on its calling thread and never waits for the shared
+//     pool (only the eval layer fans work out).
 #include "src/est/estimator_factory.h"
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <future>
 #include <memory>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/exec/thread_pool.h"
 #include "src/query/range_query.h"
 #include "src/util/random.h"
 
@@ -167,6 +177,98 @@ TEST_P(EstimatorPropertyTest, BatchHandlesEmptySpan) {
   const auto est = Build(GetParam());
   ASSERT_NE(est, nullptr);
   est->EstimateSelectivityBatch({}, {});  // must be a no-op, not a crash
+}
+
+// Parks every worker of a pool until Release(), so any work scheduled on
+// the pool meanwhile cannot start.
+class PoolHold {
+ public:
+  explicit PoolHold(ThreadPool& pool) : workers_(pool.num_threads()) {
+    for (size_t i = 0; i < workers_; ++i) {
+      pool.Schedule([this] {
+        std::unique_lock<std::mutex> lock(mu_);
+        ++parked_;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+        --parked_;
+        cv_.notify_all();
+      });
+    }
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return parked_ == workers_; });
+  }
+
+  // Waits until every worker has left, since the parked tasks use `this`.
+  ~PoolHold() {
+    Release();
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return parked_ == 0; });
+  }
+
+  PoolHold(const PoolHold&) = delete;
+  PoolHold& operator=(const PoolHold&) = delete;
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  const size_t workers_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t parked_ = 0;
+  bool released_ = false;
+};
+
+TEST(BatchOnCallingThreadTest, BatchesFinishWhileEveryPoolWorkerIsHeld) {
+  // Every factory kind, the three learners after some feedback, and a
+  // guarded chain.
+  std::vector<std::unique_ptr<SelectivityEstimator>> estimators;
+  for (EstimatorKind kind : kAllKinds) estimators.push_back(Build(kind));
+  for (EstimatorKind kind :
+       {EstimatorKind::kFeedback, EstimatorKind::kReconstructed,
+        EstimatorKind::kOnlineLearning}) {
+    auto learner = Build(kind);
+    ASSERT_NE(learner, nullptr);
+    for (const RangeQuery& q : RandomQueries(16, 5)) {
+      ASSERT_TRUE(learner->ObserveTrueSelectivity(q, 0.5 * (q.b - q.a) /
+                                                         kDomain.width())
+                      .ok());
+    }
+    estimators.push_back(std::move(learner));
+  }
+  EstimatorConfig hybrid;
+  hybrid.kind = EstimatorKind::kHybrid;
+  auto guarded =
+      BuildGuardedEstimator(MixtureSample(1500, 99), kDomain, hybrid);
+  ASSERT_TRUE(guarded.ok());
+  estimators.push_back(std::move(guarded.value().estimator));
+
+  const auto queries = RandomQueries(4096, 6);
+  std::vector<double> batch(queries.size());
+  PoolHold hold(ThreadPool::Default());
+  for (const auto& est : estimators) {
+    ASSERT_NE(est, nullptr);
+    // The batch runs on a thread of its own so that a batch stuck waiting
+    // for the held pool fails this test instead of hanging it.
+    std::packaged_task<void()> task([&] {
+      est->EstimateSelectivityBatch(queries, batch);
+    });
+    std::future<void> done = task.get_future();
+    std::thread caller(std::move(task));
+    const bool finished = done.wait_for(std::chrono::seconds(30)) ==
+                          std::future_status::ready;
+    if (!finished) hold.Release();
+    caller.join();
+    ASSERT_TRUE(finished) << est->name()
+                          << " waited for the shared pool's workers";
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_EQ(batch[i], est->EstimateSelectivity(queries[i]))
+          << est->name() << " query " << i;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

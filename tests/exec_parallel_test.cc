@@ -8,6 +8,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/data/distribution.h"
@@ -65,20 +66,24 @@ TEST(ExecParallelTest, ReportsBitIdenticalAcrossThreadCounts) {
   const ExperimentSetup setup = MakeSetup(data, protocol);
   const auto configs = SweepConfigs();
 
-  ParallelExecOptions serial;
-  serial.threads = 1;
-  const auto baseline = RunConfigsParallel(setup, configs, serial);
-  ASSERT_EQ(baseline.size(), configs.size());
+  // The per-query serial reference: every thread count, threads = 1
+  // included, runs the sweep's shared phases and must reproduce it.
+  const GroundTruth truth(data);
+  std::vector<ErrorReport> baseline;
+  for (const EstimatorConfig& config : configs) {
+    auto estimator = BuildEstimator(setup.sample, setup.domain(), config);
+    ASSERT_TRUE(estimator.ok());
+    baseline.push_back(Evaluate(*estimator.value(), setup.queries, truth));
+  }
 
-  for (size_t threads : {2u, 8u}) {
+  for (size_t threads : {1u, 2u, 8u}) {
     ParallelExecOptions options;
     options.threads = threads;
     const auto reports = RunConfigsParallel(setup, configs, options);
     ASSERT_EQ(reports.size(), configs.size());
     for (size_t c = 0; c < configs.size(); ++c) {
-      ASSERT_TRUE(baseline[c].ok());
       ASSERT_TRUE(reports[c].ok()) << "threads=" << threads;
-      ExpectBitIdentical(*baseline[c], *reports[c]);
+      ExpectBitIdentical(baseline[c], *reports[c]);
     }
   }
 }
@@ -209,6 +214,26 @@ TEST(ParallelForTest, RethrowsLowestChunkExceptionAndPoolSurvives) {
                 for (size_t i = begin; i < end; ++i) sum += i;
               });
   EXPECT_EQ(sum.load(), 4950u);
+}
+
+TEST(ParallelForTest, SerialPathRunsEveryChunkThenRethrowsLowest) {
+  // Without a pool the chunks run in order on the calling thread; a throw
+  // must not skip the chunks after it, and chunk 1's exception (the
+  // lowest throwing index) surfaces once they have all run.
+  std::vector<int> ran(5, 0);
+  try {
+    ParallelFor(nullptr, ran.size(), ran.size(),
+                [&](size_t /*begin*/, size_t /*end*/, size_t chunk) {
+                  ++ran[chunk];
+                  if (chunk == 1 || chunk == 3) {
+                    throw std::runtime_error("chunk " + std::to_string(chunk));
+                  }
+                });
+    FAIL() << "expected ParallelFor to rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "chunk 1");
+  }
+  EXPECT_EQ(ran, std::vector<int>(5, 1));
 }
 
 TEST(ParallelForTest, NestedFanOutRunsSeriallyWithoutDeadlock) {

@@ -192,6 +192,43 @@ TEST_F(ServerFaultTest, BackgroundRefreshFaultDegradesGracefully) {
   EXPECT_EQ(generation.value()->rows_at_build, 460u);
 }
 
+TEST_F(ServerFaultTest, FailedInlineThresholdRefreshStillAcceptsTheBatch) {
+  // An inline refresh triggered by the volume threshold fails after the
+  // batch is logged and folded. Ingest must report the batch accepted:
+  // an error would tell the caller to retry, and the retry would fold the
+  // same rows twice.
+  LiveServerOptions options;
+  options.background_refresh = false;
+  options.refresh_ingest_rows = 50;
+  LiveStatisticsServer server(std::move(options));
+  ASSERT_TRUE(server
+                  .RegisterColumn("t", "x", kDomain,
+                                  ConfigWithBins(EstimatorKind::kEquiWidth, 16),
+                                  MakeRows(300, 12))
+                  .ok());
+  {
+    ScopedFault fault(kFaultPointServerRefresh);
+    EXPECT_TRUE(server.Ingest("t", "x", MakeRows(80, 13)).ok());
+  }
+  auto stats = server.ColumnStats("t", "x");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().ingested_rows, 80u);
+  EXPECT_EQ(stats.value().generation, 1u);
+  EXPECT_EQ(stats.value().threshold_refreshes, 1u);
+  EXPECT_EQ(stats.value().refresh_errors, 1u);
+
+  // Disarmed, the next batch's refresh publishes every row exactly once.
+  ASSERT_TRUE(server.Ingest("t", "x", MakeRows(80, 14)).ok());
+  stats = server.ColumnStats("t", "x");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().ingested_rows, 160u);
+  EXPECT_EQ(stats.value().generation, 2u);
+  EXPECT_EQ(stats.value().refresh_errors, 1u);
+  auto generation = server.CurrentGeneration("t", "x");
+  ASSERT_TRUE(generation.ok());
+  EXPECT_EQ(generation.value()->rows_at_build, 460u);
+}
+
 TEST_F(ServerFaultTest, ProbabilisticRefreshFaultsNeverWedgeTheColumn) {
   // A seeded coin per refresh: whatever subset fails, the column keeps
   // serving, failures are counted, and a final clean refresh recovers.
