@@ -16,6 +16,11 @@ StatusOr<AdaptiveKernelEstimator> AdaptiveKernelEstimator::Create(
   if (sample.empty()) {
     return InvalidArgumentError("adaptive kernel estimator needs a sample");
   }
+  if (!std::all_of(sample.begin(), sample.end(),
+                   [](double x) { return std::isfinite(x); })) {
+    return InvalidArgumentError(
+        "adaptive kernel estimator samples must be finite");
+  }
   if (options.sensitivity < 0.0 || options.sensitivity > 1.0) {
     return InvalidArgumentError("sensitivity must be in [0, 1]");
   }
@@ -60,11 +65,30 @@ StatusOr<AdaptiveKernelEstimator> AdaptiveKernelEstimator::Create(
                                  max_bandwidth, h0, domain, options.kernel);
 }
 
+AdaptiveKernelEstimator::AdaptiveKernelEstimator(
+    std::vector<double> sorted, std::vector<double> bandwidths,
+    double max_bandwidth, double base_bandwidth, Domain domain, Kernel kernel)
+    : sorted_(std::move(sorted)),
+      bandwidths_(std::move(bandwidths)),
+      max_bandwidth_(max_bandwidth),
+      base_bandwidth_(base_bandwidth),
+      domain_(domain),
+      kernel_(kernel) {
+  if (kernel_.type() == KernelType::kEpanechnikov) {
+    cdf_table_ = EpanechnikovCdfTable(sorted_, bandwidths_);
+  }
+}
+
 double AdaptiveKernelEstimator::EstimateSelectivity(double a, double b) const {
-  if (a > b) return 0.0;
+  if (!(a <= b)) return 0.0;  // inverted range or a NaN bound
   a = domain_.Clamp(a);
   b = domain_.Clamp(b);
   if (a >= b) return 0.0;
+  const double n = static_cast<double>(sorted_.size());
+  if (kernel_.type() == KernelType::kEpanechnikov) {
+    return std::clamp(
+        (cdf_table_.MassBelow(b) - cdf_table_.MassBelow(a)) / n, 0.0, 1.0);
+  }
   const double radius = kernel_.support_radius() * max_bandwidth_;
   const auto first =
       std::lower_bound(sorted_.begin(), sorted_.end(), a - radius);
@@ -76,7 +100,7 @@ double AdaptiveKernelEstimator::EstimateSelectivity(double a, double b) const {
     const double h = bandwidths_[i];
     sum += kernel_.Cdf((b - *it) / h) - kernel_.Cdf((a - *it) / h);
   }
-  return std::clamp(sum / static_cast<double>(sorted_.size()), 0.0, 1.0);
+  return std::clamp(sum / n, 0.0, 1.0);
 }
 
 size_t AdaptiveKernelEstimator::StorageBytes() const {
@@ -106,9 +130,12 @@ StatusOr<AdaptiveKernelEstimator> AdaptiveKernelEstimator::DeserializeState(
   SELEST_ASSIGN_OR_RETURN(const double base_bandwidth, reader.ReadDouble());
   SELEST_ASSIGN_OR_RETURN(const Domain domain, ReadDomain(reader));
   SELEST_ASSIGN_OR_RETURN(const Kernel kernel, ReadKernel(reader));
-  if (sorted.empty() || !std::is_sorted(sorted.begin(), sorted.end())) {
+  if (sorted.empty() || !std::is_sorted(sorted.begin(), sorted.end()) ||
+      !std::all_of(sorted.begin(), sorted.end(),
+                   [](double x) { return std::isfinite(x); })) {
     return InvalidArgumentError(
-        "adaptive kernel snapshot samples must be non-empty and sorted");
+        "adaptive kernel snapshot samples must be non-empty, finite and "
+        "sorted");
   }
   if (bandwidths.size() != sorted.size()) {
     return InvalidArgumentError(

@@ -9,7 +9,8 @@
 //
 // so bumps narrow where data is dense and widen in the tails. The
 // selectivity integral stays closed-form — it is the average of per-sample
-// kernel CDF differences, each with its own h_i.
+// kernel CDF differences, each with its own h_i. For the Epanechnikov kernel
+// the sum is tabulated at construction (density/epanechnikov_cdf_table.h).
 #ifndef SELEST_EST_ADAPTIVE_KERNEL_ESTIMATOR_H_
 #define SELEST_EST_ADAPTIVE_KERNEL_ESTIMATOR_H_
 
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "src/data/domain.h"
+#include "src/density/epanechnikov_cdf_table.h"
 #include "src/density/kernel.h"
 #include "src/est/selectivity_estimator.h"
 #include "src/util/status.h"
@@ -40,13 +42,18 @@ class AdaptiveKernelEstimator : public SelectivityEstimator {
       std::span<const double> sample, const Domain& domain,
       const AdaptiveKernelOptions& options);
 
-  // O(log n + k): samples are sorted and the maximal bandwidth bounds the
-  // scan window.
+  // O(log n) for the Epanechnikov kernel; O(log n + k) for other shapes,
+  // whose scan window the maximal bandwidth bounds. NaN and inverted
+  // bounds answer 0.
   double EstimateSelectivity(double a, double b) const override;
   size_t StorageBytes() const override;
   std::string name() const override;
 
+  // The sorted sample, and each sample's bandwidth (parallel to it).
+  const std::vector<double>& samples() const { return sorted_; }
   const std::vector<double>& bandwidths() const { return bandwidths_; }
+  // Σ_i F((t − X_i)/h_i); empty unless the kernel is Epanechnikov.
+  const EpanechnikovCdfTable& cdf_table() const { return cdf_table_; }
   double base_bandwidth() const { return base_bandwidth_; }
 
   EstimatorTag SnapshotTypeTag() const override {
@@ -59,13 +66,7 @@ class AdaptiveKernelEstimator : public SelectivityEstimator {
  private:
   AdaptiveKernelEstimator(std::vector<double> sorted,
                           std::vector<double> bandwidths, double max_bandwidth,
-                          double base_bandwidth, Domain domain, Kernel kernel)
-      : sorted_(std::move(sorted)),
-        bandwidths_(std::move(bandwidths)),
-        max_bandwidth_(max_bandwidth),
-        base_bandwidth_(base_bandwidth),
-        domain_(domain),
-        kernel_(kernel) {}
+                          double base_bandwidth, Domain domain, Kernel kernel);
 
   std::vector<double> sorted_;
   std::vector<double> bandwidths_;  // parallel to sorted_
@@ -73,6 +74,7 @@ class AdaptiveKernelEstimator : public SelectivityEstimator {
   double base_bandwidth_;
   Domain domain_;
   Kernel kernel_;
+  EpanechnikovCdfTable cdf_table_;
 };
 
 }  // namespace selest

@@ -119,9 +119,9 @@ StatusOr<HybridEstimator> HybridEstimator::Create(
     auto estimator =
         KernelEstimator::Create(bin_sample, bin_domain, kernel_options);
     if (!estimator.ok()) return estimator.status();
-    cells.push_back(Cell{bin_domain,
-                         static_cast<double>(bin_sample.size()) / n,
-                         std::move(estimator).value()});
+    cells.emplace_back(bin_domain,
+                       static_cast<double>(bin_sample.size()) / n,
+                       std::move(estimator).value());
   }
   if (cells.empty()) {
     return InternalError("hybrid estimator produced no populated bins");
@@ -130,7 +130,7 @@ StatusOr<HybridEstimator> HybridEstimator::Create(
 }
 
 double HybridEstimator::EstimateSelectivity(double a, double b) const {
-  if (a > b) return 0.0;
+  if (!(a <= b)) return 0.0;  // inverted range or a NaN bound
   double total = 0.0;
   for (const Cell& cell : cells_) {
     const double lo = std::max(a, cell.bin_domain.lo);
@@ -138,7 +138,10 @@ double HybridEstimator::EstimateSelectivity(double a, double b) const {
     if (lo >= hi) continue;
     // The per-bin estimator integrates to ~1 over its bin; scale by the
     // bin's share of the sample.
-    total += cell.weight * cell.estimator.EstimateSelectivity(lo, hi);
+    const double mass = lo == cell.bin_domain.lo && hi == cell.bin_domain.hi
+                            ? cell.full_range
+                            : cell.estimator.EstimateSelectivity(lo, hi);
+    total += cell.weight * mass;
   }
   return std::clamp(total, 0.0, 1.0);
 }
@@ -190,7 +193,7 @@ StatusOr<HybridEstimator> HybridEstimator::DeserializeState(
     }
     SELEST_ASSIGN_OR_RETURN(KernelEstimator estimator,
                             KernelEstimator::DeserializeState(reader));
-    cells.push_back(Cell{bin_domain, weight, std::move(estimator)});
+    cells.emplace_back(bin_domain, weight, std::move(estimator));
   }
   return HybridEstimator(std::move(partition), std::move(cells));
 }

@@ -18,6 +18,7 @@
 #define SELEST_EST_HYBRID_ESTIMATOR_H_
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/data/domain.h"
@@ -49,6 +50,9 @@ class HybridEstimator : public SelectivityEstimator {
                                           const Domain& domain,
                                           const HybridEstimatorOptions& options);
 
+  // Sums the weighted answers of the cells the query overlaps; a cell the
+  // query covers answers from its full-range value, computed once at build.
+  // NaN and inverted bounds answer 0.
   double EstimateSelectivity(double a, double b) const override;
   size_t StorageBytes() const override;
   std::string name() const override;
@@ -66,9 +70,18 @@ class HybridEstimator : public SelectivityEstimator {
 
  private:
   struct Cell {
+    Cell(const Domain& domain, double cell_weight,
+         KernelEstimator cell_estimator)
+        : bin_domain(domain),
+          weight(cell_weight),
+          estimator(std::move(cell_estimator)),
+          full_range(estimator.EstimateSelectivity(domain.lo, domain.hi)) {}
+
     Domain bin_domain;
     double weight;  // fraction of samples in this bin
     KernelEstimator estimator;
+    // estimator's answer over the whole bin; derived, not persisted.
+    double full_range;
   };
 
   HybridEstimator(std::vector<double> partition, std::vector<Cell> cells)

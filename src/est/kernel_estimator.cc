@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "src/est/estimator_snapshot.h"
@@ -15,6 +16,10 @@ StatusOr<KernelEstimator> KernelEstimator::Create(
     const KernelEstimatorOptions& options) {
   if (sample.empty()) {
     return InvalidArgumentError("kernel estimator needs a non-empty sample");
+  }
+  if (!std::all_of(sample.begin(), sample.end(),
+                   [](double x) { return std::isfinite(x); })) {
+    return InvalidArgumentError("kernel estimator samples must be finite");
   }
   if (!(options.bandwidth > 0.0) || !std::isfinite(options.bandwidth)) {
     return InvalidArgumentError("kernel bandwidth must be positive");
@@ -48,28 +53,29 @@ StatusOr<KernelEstimator> KernelEstimator::Create(
     if (!kde.ok()) return kde.status();
     boundary_kde = std::move(kde).value();
   }
-  return KernelEstimator(AlignedDoubles(sorted.begin(), sorted.end()),
-                         original_count, domain, options,
-                         std::move(boundary_kde));
+  return KernelEstimator(std::move(sorted), original_count, domain, options,
+                         boundary_kde ? &*boundary_kde : nullptr);
 }
 
-KernelEstimator::KernelEstimator(AlignedDoubles sorted,
+KernelEstimator::KernelEstimator(std::vector<double> sorted,
                                  size_t original_count, const Domain& domain,
                                  const KernelEstimatorOptions& options,
-                                 std::optional<Kde> boundary_kde)
+                                 const Kde* boundary_kde)
     : sorted_(std::move(sorted)),
       original_count_(original_count),
       domain_(domain),
-      options_(options),
-      boundary_kde_(std::move(boundary_kde)) {
-  if (boundary_kde_.has_value()) {
+      options_(options) {
+  if (boundary_kde != nullptr) {
     const double h = options_.bandwidth;
     const int nodes = options_.quadrature_intervals * 16;
     const double left_end = std::min(domain_.lo + h, domain_.hi);
-    left_strip_ = BuildStripTable(*boundary_kde_, domain_.lo, left_end, nodes);
+    left_strip_ = BuildStripTable(*boundary_kde, domain_.lo, left_end, nodes);
     const double right_begin = std::max(domain_.hi - h, left_end);
     right_strip_ =
-        BuildStripTable(*boundary_kde_, right_begin, domain_.hi, nodes);
+        BuildStripTable(*boundary_kde, right_begin, domain_.hi, nodes);
+  }
+  if (options_.kernel.type() == KernelType::kEpanechnikov) {
+    cdf_table_ = EpanechnikovCdfTable(sorted_, options_.bandwidth);
   }
 }
 
@@ -114,14 +120,16 @@ double KernelEstimator::StripTable::Mass(double x1, double x2) const {
 }
 
 double KernelEstimator::CdfSum(double a, double b) const {
+  if (options_.kernel.type() == KernelType::kEpanechnikov) {
+    return (cdf_table_.MassBelow(b) - cdf_table_.MassBelow(a)) /
+           static_cast<double>(original_count_);
+  }
   const double h = options_.bandwidth;
   const double radius = options_.kernel.support_radius() * h;
   const Kernel& kernel = options_.kernel;
   const double* data = sorted_.data();
   const size_t n = sorted_.size();
   double sum = 0.0;
-  // Branch-free searches: same indices as std::lower_bound/std::upper_bound
-  // and the structure the vector block kernel replays.
   if (a + radius <= b - radius) {
     // Samples in [a+radius, b−radius] contribute exactly 1 (the first case
     // of Alg. 1); count them with two binary searches.
@@ -150,7 +158,7 @@ double KernelEstimator::CdfSum(double a, double b) const {
 }
 
 double KernelEstimator::EstimateSelectivity(double a, double b) const {
-  if (a > b) return 0.0;
+  if (!(a <= b)) return 0.0;  // inverted range or a NaN bound
   a = domain_.Clamp(a);
   b = domain_.Clamp(b);
   if (a >= b) {
@@ -174,44 +182,6 @@ double KernelEstimator::EstimateSelectivity(double a, double b) const {
   }
   total += right_strip_.Mass(a, b);
   return std::clamp(total, 0.0, 1.0);
-}
-
-KernelBlockArgs KernelEstimator::MakeSimdArgs() const {
-  KernelBlockArgs args;
-  args.sorted = sorted_.data();
-  args.sorted_size = static_cast<int64_t>(sorted_.size());
-  args.original_count = static_cast<double>(original_count_);
-  args.h = options_.bandwidth;
-  args.radius = options_.kernel.support_radius() * options_.bandwidth;
-  args.domain_lo = domain_.lo;
-  args.domain_hi = domain_.hi;
-  args.boundary_kernel = options_.boundary == BoundaryPolicy::kBoundaryKernel;
-  args.left_cum = left_strip_.cumulative.data();
-  args.left_size = static_cast<int64_t>(left_strip_.cumulative.size());
-  args.left_lo = left_strip_.lo;
-  args.left_hi = left_strip_.hi;
-  args.right_cum = right_strip_.cumulative.data();
-  args.right_size = static_cast<int64_t>(right_strip_.cumulative.size());
-  args.right_lo = right_strip_.lo;
-  args.right_hi = right_strip_.hi;
-  return args;
-}
-
-void KernelEstimator::EstimateSelectivityBatch(
-    std::span<const RangeQuery> queries, std::span<double> out) const {
-  SELEST_CHECK_EQ(queries.size(), out.size());
-  const SimdOps* ops = ActiveSimdOps();
-  // The vector kernel replays the Epanechnikov CDF only; other kernel
-  // shapes keep the scalar path.
-  if (ops == nullptr || options_.kernel.type() != KernelType::kEpanechnikov) {
-    SelectivityEstimator::EstimateSelectivityBatch(queries, out);
-    return;
-  }
-  const KernelBlockArgs args = MakeSimdArgs();
-  BatchWithBlocks(queries, out, ops->width,
-                  [&args, ops](const double* a, const double* b, double* r) {
-                    return ops->kernel_block(args, a, b, r) != 0;
-                  });
 }
 
 double KernelEstimator::EstimateSelectivityAlgorithm1(double a,
@@ -282,9 +252,11 @@ StatusOr<KernelEstimator> KernelEstimator::DeserializeState(
   SELEST_ASSIGN_OR_RETURN(options.kernel, ReadKernel(reader));
   SELEST_ASSIGN_OR_RETURN(options.boundary, ReadBoundaryPolicy(reader));
   SELEST_ASSIGN_OR_RETURN(const uint32_t quadrature, reader.ReadU32());
-  if (sorted.empty() || !std::is_sorted(sorted.begin(), sorted.end())) {
+  if (sorted.empty() || !std::is_sorted(sorted.begin(), sorted.end()) ||
+      !std::all_of(sorted.begin(), sorted.end(),
+                   [](double x) { return std::isfinite(x); })) {
     return InvalidArgumentError(
-        "kernel snapshot samples must be non-empty and sorted");
+        "kernel snapshot samples must be non-empty, finite and sorted");
   }
   // Reflection adds at most two mirrored copies per original sample.
   if (original_count < 1 || original_count > sorted.size()) {
@@ -300,14 +272,12 @@ StatusOr<KernelEstimator> KernelEstimator::DeserializeState(
   options.quadrature_intervals = static_cast<int>(quadrature);
   // The boundary KDE exists only to build the strip tables at construction;
   // the tables are restored verbatim below, so the KDE is not rebuilt.
-  KernelEstimator estimator(AlignedDoubles(sorted.begin(), sorted.end()),
-                            original_count, domain, options, std::nullopt);
+  KernelEstimator estimator(std::move(sorted), original_count, domain,
+                            options, nullptr);
   for (StripTable* strip : {&estimator.left_strip_, &estimator.right_strip_}) {
     SELEST_ASSIGN_OR_RETURN(strip->lo, reader.ReadDouble());
     SELEST_ASSIGN_OR_RETURN(strip->hi, reader.ReadDouble());
-    SELEST_ASSIGN_OR_RETURN(std::vector<double> cumulative,
-                            reader.ReadDoubleVector());
-    strip->cumulative.assign(cumulative.begin(), cumulative.end());
+    SELEST_ASSIGN_OR_RETURN(strip->cumulative, reader.ReadDoubleVector());
     if (!std::isfinite(strip->lo) || !std::isfinite(strip->hi) ||
         strip->lo > strip->hi ||
         !std::is_sorted(strip->cumulative.begin(), strip->cumulative.end())) {

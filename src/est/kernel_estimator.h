@@ -7,9 +7,10 @@
 //
 // with F the kernel CDF. Samples deep inside the query contribute exactly 1
 // and samples far outside contribute 0, which is the case split of Alg. 1;
-// keeping the samples sorted turns the evaluation into two binary searches
-// plus a scan of the O(k) fringe samples near the query endpoints — the
-// O(log n + k) cost the paper attributes to a search-tree organization.
+// the paper's search tree makes it O(log n + k) for the k samples near the
+// query endpoints. For the Epanechnikov kernel the sum is tabulated at
+// construction (density/epanechnikov_cdf_table.h), so a query is two
+// O(log n) lookups whatever k is; other kernel shapes scan the k samples.
 //
 // Boundary handling follows §3.2.1: none, reflection, or Simonoff–Dong
 // boundary kernels (the latter integrates the boundary strips by
@@ -17,11 +18,11 @@
 #ifndef SELEST_EST_KERNEL_ESTIMATOR_H_
 #define SELEST_EST_KERNEL_ESTIMATOR_H_
 
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "src/data/domain.h"
+#include "src/density/epanechnikov_cdf_table.h"
 #include "src/density/kde.h"
 #include "src/density/kernel.h"
 #include "src/est/selectivity_estimator.h"
@@ -48,13 +49,10 @@ class KernelEstimator : public SelectivityEstimator {
                                           const Domain& domain,
                                           const KernelEstimatorOptions& options);
 
-  // O(log n + k) estimate; the query is clamped to the domain first.
+  // O(log n) for the Epanechnikov kernel, O(log n + k) for other shapes;
+  // the query is clamped to the domain first. NaN and inverted bounds
+  // answer 0.
   double EstimateSelectivity(double a, double b) const override;
-  // Epanechnikov batches run the vector block kernel of the active SIMD
-  // tier (util/simd.h); other kernel shapes and the scalar tier take the
-  // base per-query loop. Either way the batch runs on the calling thread.
-  void EstimateSelectivityBatch(std::span<const RangeQuery> queries,
-                                std::span<double> out) const override;
 
   // Literal transcription of the paper's Algorithm 1: a Θ(n) scan with the
   // four-way case split. Requires b − a >= 2h (as the algorithm's interval
@@ -68,6 +66,12 @@ class KernelEstimator : public SelectivityEstimator {
   double bandwidth() const { return options_.bandwidth; }
   const KernelEstimatorOptions& options() const { return options_; }
   size_t sample_size() const { return original_count_; }
+  // The sorted points the estimate sums over: the sample, plus its
+  // reflected copies under the reflection policy.
+  const std::vector<double>& samples() const { return sorted_; }
+  // Σ_i F((t − X_i)/h) over samples(); empty unless the kernel is
+  // Epanechnikov.
+  const EpanechnikovCdfTable& cdf_table() const { return cdf_table_; }
 
   EstimatorTag SnapshotTypeTag() const override {
     return EstimatorTag::kKernel;
@@ -75,7 +79,8 @@ class KernelEstimator : public SelectivityEstimator {
   // Persists the derived state (sorted samples with reflections applied,
   // precomputed boundary strip tables) so deserialization skips the
   // quadrature rebuild; the boundary KDE is construction-only scaffolding
-  // and is not restored.
+  // and is not restored. The CDF table is not persisted either: it is
+  // rebuilt from the samples in O(n), bit for bit.
   Status SerializeState(ByteWriter& writer) const override;
   static StatusOr<KernelEstimator> DeserializeState(ByteReader& reader);
 
@@ -86,40 +91,34 @@ class KernelEstimator : public SelectivityEstimator {
   struct StripTable {
     double lo = 0.0;
     double hi = 0.0;
-    AlignedDoubles cumulative;  // cumulative[i] = mass of [lo, node_i]
+    std::vector<double> cumulative;  // cumulative[i] = mass of [lo, node_i]
 
     // Mass of [x1, x2] ∩ [lo, hi], by linear interpolation between nodes.
     double Mass(double x1, double x2) const;
     double CumulativeAt(double x) const;
   };
 
-  KernelEstimator(AlignedDoubles sorted, size_t original_count,
+  // Builds the strip tables from `boundary_kde` when it is set.
+  KernelEstimator(std::vector<double> sorted, size_t original_count,
                   const Domain& domain, const KernelEstimatorOptions& options,
-                  std::optional<Kde> boundary_kde);
+                  const Kde* boundary_kde);
 
   // Sum of per-sample CDF differences over the (already clamped) range,
-  // divided by the original sample count.
+  // divided by the original sample count: two table lookups for the
+  // Epanechnikov kernel, the per-sample fringe scan for other shapes.
   double CdfSum(double a, double b) const;
-
-  // Static inputs of the vectorized block kernel (util/simd.h): raw views
-  // into this estimator's SoA hot state (sorted sample strip, boundary
-  // strip tables). Valid only while this estimator is alive and unmoved —
-  // build per batch call, never store.
-  KernelBlockArgs MakeSimdArgs() const;
 
   static StripTable BuildStripTable(const Kde& kde, double lo, double hi,
                                     int nodes);
 
-  // Reflected copies included when reflecting. Contiguous 64-byte-aligned
-  // strip (SoA hot state for the vector batch kernels; DESIGN.md §12).
-  AlignedDoubles sorted_;
+  // Reflected copies included when reflecting.
+  std::vector<double> sorted_;
   size_t original_count_;
   Domain domain_;
   KernelEstimatorOptions options_;
-  // Boundary-kernel density for strip integration (kBoundaryKernel only).
-  std::optional<Kde> boundary_kde_;
   StripTable left_strip_;
   StripTable right_strip_;
+  EpanechnikovCdfTable cdf_table_;
 };
 
 }  // namespace selest

@@ -21,7 +21,7 @@ StatusOr<SamplingEstimator> SamplingEstimator::Create(
 }
 
 double SamplingEstimator::EstimateSelectivity(double a, double b) const {
-  if (a > b) return 0.0;
+  if (!(a <= b)) return 0.0;  // inverted range or a NaN bound
   // Branch-free searches: same indices as std::lower_bound/std::upper_bound
   // and the structure the vector block kernel replays.
   const size_t lo = BranchFreeLowerBound(sorted_.data(), sorted_.size(), a);
@@ -42,7 +42,6 @@ void SamplingEstimator::EstimateSelectivityBatch(
                     ops->sorted_count_block(
                         sorted_.data(), static_cast<int64_t>(sorted_.size()),
                         a, b, r);
-                    return true;
                   });
 }
 

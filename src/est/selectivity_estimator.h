@@ -54,7 +54,9 @@ class SelectivityEstimator {
  public:
   virtual ~SelectivityEstimator() = default;
 
-  // Estimated selectivity σ̂(a, b) in [0, 1]. Requires a <= b.
+  // Estimated selectivity σ̂(a, b) in [0, 1]. Every estimator the factory
+  // builds answers 0 when a > b or a bound is NaN; GuardedEstimator repairs
+  // such queries instead (est/guarded_estimator.h).
   virtual double EstimateSelectivity(double a, double b) const = 0;
 
   double EstimateSelectivity(const RangeQuery& q) const {
@@ -64,8 +66,8 @@ class SelectivityEstimator {
   // Estimates every query into `out` (same size as `queries`). Each out[i]
   // is exactly the value EstimateSelectivity(queries[i]) returns — batching
   // changes the evaluation cost, never the result. Runs entirely on the
-  // calling thread. The default is a per-query loop; the estimators with a
-  // vector kernel (sampling, kernel) override it with BatchWithBlocks.
+  // calling thread. The default is a per-query loop; the one estimator with
+  // a vector kernel (sampling) overrides it with BatchWithBlocks.
   virtual void EstimateSelectivityBatch(std::span<const RangeQuery> queries,
                                         std::span<double> out) const;
 
@@ -142,10 +144,8 @@ class SelectivityEstimator {
 
  protected:
   // Vector-tier body: processes `queries` in order, `width` queries at a
-  // time through `block(a, b, r)` (width-long kSimdAlign-aligned arrays;
-  // returns false to decline). A declined block — and any queries a
-  // partial tail cannot pad — falls back to EstimateSelectivity, so every
-  // out[i] is the scalar value regardless of which path computed it.
+  // time through `block(a, b, r)` (width-long kSimdAlign-aligned arrays),
+  // which must write exactly EstimateSelectivity's value for every lane.
   // Partial tails are padded by replicating their last query: block lanes
   // are independent, so padding never perturbs a real lane.
   template <typename BlockFn>
@@ -166,13 +166,8 @@ class SelectivityEstimator {
         a[k] = a[m - 1];
         b[k] = b[m - 1];
       }
-      if (block(a, b, r)) {
-        for (size_t k = 0; k < m; ++k) out[i + k] = r[k];
-      } else {
-        for (size_t k = 0; k < m; ++k) {
-          out[i + k] = EstimateSelectivity(queries[i + k].a, queries[i + k].b);
-        }
-      }
+      block(a, b, r);
+      for (size_t k = 0; k < m; ++k) out[i + k] = r[k];
     }
   }
 };

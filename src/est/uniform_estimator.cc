@@ -7,7 +7,7 @@
 namespace selest {
 
 double UniformEstimator::EstimateSelectivity(double a, double b) const {
-  if (a > b) return 0.0;
+  if (!(a <= b)) return 0.0;  // inverted range or a NaN bound
   const double lo = std::max(a, domain_.lo);
   const double hi = std::min(b, domain_.hi);
   if (lo >= hi) return 0.0;

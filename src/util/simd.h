@@ -36,7 +36,7 @@ inline constexpr int kSimdUlpTolerance = 0;
 // Aligned storage for struct-of-arrays hot state.
 // ---------------------------------------------------------------------------
 
-// Hot estimator state (sorted sample strips, strip-table nodes, per-block
+// Vector-kernel state (the sampling estimator's sorted sample, per-block
 // query staging) is kept on cache-line boundaries so a vector block never
 // straddles more lines than it must.
 inline constexpr size_t kSimdAlign = 64;
@@ -127,30 +127,6 @@ inline size_t BranchFreeUpperBound(const double* data, size_t n, double key) {
 // Widest tier; block staging buffers are sized for it.
 inline constexpr int kMaxSimdWidth = 8;
 
-// Static (per-estimator) inputs of the kernel-estimator block kernel: the
-// sorted sample strip plus the boundary strip tables, passed as raw
-// pointers so the per-ISA TUs need no estimator headers. Built per batch
-// call by KernelEstimator::MakeSimdArgs(), so there are never stored
-// cross-object pointers to keep valid.
-struct KernelBlockArgs {
-  const double* sorted = nullptr;  // reflected-sorted sample strip
-  int64_t sorted_size = 0;
-  double original_count = 0.0;  // the CdfSum divisor
-  double h = 0.0;               // bandwidth
-  double radius = 0.0;          // kernel support radius × h
-  double domain_lo = 0.0;
-  double domain_hi = 0.0;
-  bool boundary_kernel = false;  // use the strip tables below
-  const double* left_cum = nullptr;
-  int64_t left_size = 0;
-  double left_lo = 0.0;
-  double left_hi = 0.0;
-  const double* right_cum = nullptr;
-  int64_t right_size = 0;
-  double right_lo = 0.0;
-  double right_hi = 0.0;
-};
-
 // The ψ̂ pair-sum kernel behind the direct plug-in rule (DESIGN.md §2).
 // The scalar reference (EstimatePsiFunctional in smoothing/
 // direct_plug_in.cc) and every tier's psi_pair_sums evaluate the same
@@ -202,14 +178,6 @@ struct SimdOps {
   // branch-free searches per lane.
   void (*sorted_count_block)(const double* sorted, int64_t n, const double* a,
                              const double* b, double* out);
-
-  // KernelEstimator::EstimateSelectivity (Epanechnikov) for one block.
-  // Returns 1 when the block was handled, 0 when the caller must fall
-  // back to its scalar path (lanes disagree on the wide/narrow CdfSum
-  // case split or on boundary-strip coverage, or a bound is non-finite) —
-  // the blend trick needs every lane on the same scalar control path.
-  int (*kernel_block)(const KernelBlockArgs& args, const double* a,
-                      const double* b, double* out);
 
   // The kPsiLanes partial sums of the ψ̂ pair sum over x[0, n) for
   // s ∈ {2, 4, 6, 8} (contract above); x needs no alignment. Unlike the

@@ -71,35 +71,6 @@ inline VecD Gather(const double* p, VecI idx) {
 #endif
 }
 
-inline bool AnyTrue(VecI m) {
-  int64_t acc = 0;
-  for (int i = 0; i < kW; ++i) acc |= m[i];
-  return acc != 0;
-}
-
-inline bool AllTrue(VecI m) {
-  int64_t acc = -1;
-  for (int i = 0; i < kW; ++i) acc &= m[i];
-  return acc != 0;
-}
-
-inline int64_t MaxLane(VecI v) {
-  int64_t m = v[0];
-  for (int i = 1; i < kW; ++i) m = v[i] > m ? v[i] : m;
-  return m;
-}
-
-// Clamps indices into [0, n) so inactive lanes gather a valid (ignored)
-// address.
-inline VecI ClampIndex(VecI idx, int64_t n) {
-  const VecI hi = BroadcastI(n - 1);
-  const VecI over = idx > hi;
-  idx = over ? hi : idx;
-  const VecI zero = {};
-  const VecI under = idx < zero;
-  return under ? zero : idx;
-}
-
 // ---------------------------------------------------------------------------
 // Vectorized branch-free searches (all lanes over one shared array, so the
 // halving schedule — and thus the trip count — is lane-invariant).
@@ -170,35 +141,6 @@ inline VecI UpperBoundV(const double* data, int64_t n, VecD key) {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar-replica arithmetic helpers (exact operation order).
-// ---------------------------------------------------------------------------
-
-// std::clamp(v, 0.0, 1.0) — (v < lo) ? lo : (hi < v) ? hi : v.
-inline VecD Clamp01(VecD v) {
-  const VecD zero = {};
-  const VecD one = BroadcastD(1.0);
-  const VecI below = v < zero;
-  VecD r = below ? zero : v;
-  const VecI above = one < r;
-  return above ? one : r;
-}
-
-// Kernel::Cdf for Epanechnikov: 0 below −1, 1 above +1, else
-// 0.5 + 0.25·(3t − t³) with t³ evaluated as (t·t)·t, exactly as the
-// scalar code in density/kernel.cc.
-inline VecD EpanechnikovCdf(VecD t) {
-  const VecD t3 = (t * t) * t;
-  const VecD poly = BroadcastD(0.5) + BroadcastD(0.25) * (BroadcastD(3.0) * t - t3);
-  const VecD zero = {};
-  const VecD one = BroadcastD(1.0);
-  const VecI low = t <= BroadcastD(-1.0);
-  const VecI high = t >= one;
-  VecD r = low ? zero : poly;
-  r = high ? one : r;
-  return r;
-}
-
-// ---------------------------------------------------------------------------
 // sorted_count_block: SamplingEstimator::EstimateSelectivity.
 // ---------------------------------------------------------------------------
 
@@ -210,173 +152,12 @@ void SortedCountBlock(const double* sorted, int64_t n, const double* a,
   const VecI hi = UpperBoundV(sorted, n, bv);
   const VecD matched = __builtin_convertvector(hi - lo, VecD);
   VecD result = matched / BroadcastD(static_cast<double>(n));
-  const VecI inverted = av > bv;
+  // !(a <= b): inverted ranges and NaN bounds answer 0, as in the scalar
+  // EstimateSelectivity.
+  const VecI rejected = ~(av <= bv);
   const VecD zero = {};
-  result = inverted ? zero : result;
+  result = rejected ? zero : result;
   StoreD(out, result);
-}
-
-// ---------------------------------------------------------------------------
-// kernel_block: KernelEstimator::EstimateSelectivity (Epanechnikov).
-// ---------------------------------------------------------------------------
-
-// CdfSum's fringe scan: continues accumulating `sum` with
-// Cdf((b−x)/h) − Cdf((a−x)/h) over sorted[from,to) per lane, one sample
-// at a time in index order (masked past each lane's end), preserving the
-// scalar loop's exact summation association. The masked-out additions are
-// +0.0 onto a non-negative sum, which cannot change its bits.
-inline VecD FringeSum(const double* sorted, int64_t n, VecI from, VecI to,
-                      VecD av, VecD bv, double h, VecD sum) {
-  const VecD hv = BroadcastD(h);
-  const VecD zero = {};
-  const int64_t trips = MaxLane(to - from);
-  for (int64_t j = 0; j < trips; ++j) {
-    const VecI idx = from + j;
-    const VecI active = idx < to;
-    const VecD x = Gather(sorted, ClampIndex(idx, n));
-    const VecD diff =
-        EpanechnikovCdf((bv - x) / hv) - EpanechnikovCdf((av - x) / hv);
-    sum += active ? diff : zero;
-  }
-  return sum;
-}
-
-// CdfSum for a block whose lanes all take the same (wide/narrow) case
-// split; `wide` mirrors the scalar `a + radius <= b − radius` test.
-inline VecD CdfSumV(const KernelBlockArgs& args, VecD av, VecD bv, bool wide) {
-  const double radius = args.radius;
-  const VecD rv = BroadcastD(radius);
-  VecD sum;
-  if (wide) {
-    const VecI full_lo =
-        LowerBoundV(args.sorted, args.sorted_size, av + rv);
-    const VecI full_hi =
-        UpperBoundV(args.sorted, args.sorted_size, bv - rv);
-    sum = __builtin_convertvector(full_hi - full_lo, VecD);
-    const VecI left_lo =
-        LowerBoundV(args.sorted, args.sorted_size, av - rv);
-    sum = FringeSum(args.sorted, args.sorted_size, left_lo, full_lo, av, bv,
-                    args.h, sum);
-    const VecI right_hi =
-        UpperBoundV(args.sorted, args.sorted_size, bv + rv);
-    sum = FringeSum(args.sorted, args.sorted_size, full_hi, right_hi, av, bv,
-                    args.h, sum);
-  } else {
-    const VecI lo = LowerBoundV(args.sorted, args.sorted_size, av - rv);
-    const VecI hi = UpperBoundV(args.sorted, args.sorted_size, bv + rv);
-    const VecD zero = {};
-    sum = FringeSum(args.sorted, args.sorted_size, lo, hi, av, bv, args.h,
-                    zero);
-  }
-  return sum / BroadcastD(args.original_count);
-}
-
-// StripTable::CumulativeAt for one strip, all lanes. Requires size >= 2
-// and hi > lo (callers special-case the degenerate strips).
-inline VecD StripCumulativeAt(const double* cum, int64_t size, double lo,
-                              double hi, VecD x) {
-  const VecD lov = BroadcastD(lo);
-  const VecD hiv = BroadcastD(hi);
-  const VecD nodes = BroadcastD(static_cast<double>(size - 1));
-  const VecD position = (x - lov) / (hiv - lov) * nodes;
-  // Out-of-strip lanes are fully blended below; clamp the raw position
-  // first so the float→int conversion stays in range for them too.
-  const VecD pzero = {};
-  VecD pclamped = (position < pzero) ? pzero : position;
-  pclamped = (nodes < pclamped) ? nodes : pclamped;
-  const VecI index = __builtin_convertvector(pclamped, VecI);
-  const VecD fraction = position - __builtin_convertvector(index, VecD);
-  const VecI ig = ClampIndex(index, size - 1);  // gather-safe: ig+1 <= size-1
-  const VecD c0 = Gather(cum, ig);
-  const VecD c1 = Gather(cum, ig + 1);
-  const VecD back = BroadcastD(cum[size - 1]);
-  // Reverse priority order of the scalar early returns.
-  VecD r = c0 + fraction * (c1 - c0);
-  r = (index + 1 >= BroadcastI(size)) ? back : r;
-  r = (x >= hiv) ? back : r;
-  r = (x <= lov) ? pzero : r;
-  return r;
-}
-
-// StripTable::Mass(x1, x2) for one strip, all lanes.
-inline VecD StripMassV(const double* cum, int64_t size, double lo, double hi,
-                       VecD x1, VecD x2) {
-  const VecD zero = {};
-  if (size < 2) return zero;
-  VecD mass;
-  if (!(hi > lo)) {
-    // Degenerate strip: every x is <= lo or >= hi, so CumulativeAt is a
-    // two-way select with the scalar's check order (x <= lo wins).
-    const VecD back = BroadcastD(cum[size - 1]);
-    const VecD lov = BroadcastD(lo);
-    const VecD hiv = BroadcastD(hi);
-    VecD c2 = (x2 >= hiv) ? back : zero;
-    c2 = (x2 <= lov) ? zero : c2;
-    VecD c1 = (x1 >= hiv) ? back : zero;
-    c1 = (x1 <= lov) ? zero : c1;
-    mass = c2 - c1;
-  } else {
-    mass = StripCumulativeAt(cum, size, lo, hi, x2) -
-           StripCumulativeAt(cum, size, lo, hi, x1);
-  }
-  return (x2 <= x1) ? zero : mass;
-}
-
-int KernelBlock(const KernelBlockArgs& args, const double* a, const double* b,
-                double* out) {
-  const VecD a_raw = LoadD(a);
-  const VecD b_raw = LoadD(b);
-  // Bail on non-finite bounds: the scalar path's NaN behavior runs through
-  // code we do not replicate lane-wise.
-  if (!AllTrue((a_raw == a_raw) & (b_raw == b_raw))) return 0;
-  const VecD inf = BroadcastD(__builtin_huge_val());
-  if (AnyTrue((a_raw == inf) | (a_raw == -inf) | (b_raw == inf) |
-              (b_raw == -inf))) {
-    return 0;
-  }
-
-  // Domain clamp (std::clamp(x, lo, hi) on finite inputs).
-  const VecD dlo = BroadcastD(args.domain_lo);
-  const VecD dhi = BroadcastD(args.domain_hi);
-  VecD av = (a_raw < dlo) ? dlo : a_raw;
-  av = (dhi < av) ? dhi : av;
-  VecD bv = (b_raw < dlo) ? dlo : b_raw;
-  bv = (dhi < bv) ? dhi : bv;
-
-  // Lanes the scalar path zeroes before CdfSum; they still participate in
-  // the case-split classification below (their clamped bounds are valid
-  // numbers), and their computed value is discarded at the end.
-  const VecI zero_lane = (a_raw > b_raw) | (av >= bv);
-
-  const VecD rv = BroadcastD(args.radius);
-  VecD result;
-  if (!args.boundary_kernel) {
-    const VecI wide = (av + rv) <= (bv - rv);
-    if (!AllTrue(wide) && AnyTrue(wide)) return 0;  // mixed case split
-    result = Clamp01(CdfSumV(args, av, bv, AllTrue(wide)));
-  } else {
-    VecD total = StripMassV(args.left_cum, args.left_size, args.left_lo,
-                            args.left_hi, av, bv);
-    const VecD lhi = BroadcastD(args.left_hi);
-    const VecD rlo = BroadcastD(args.right_lo);
-    const VecD ilo = (av < lhi) ? lhi : av;   // std::max(a, left.hi)
-    const VecD ihi = (rlo < bv) ? rlo : bv;   // std::min(b, right.lo)
-    const VecI interior = ilo < ihi;
-    if (!AllTrue(interior) && AnyTrue(interior)) return 0;
-    if (AllTrue(interior)) {
-      const VecI wide = (ilo + rv) <= (ihi - rv);
-      if (!AllTrue(wide) && AnyTrue(wide)) return 0;
-      total += CdfSumV(args, ilo, ihi, AllTrue(wide));
-    }
-    total += StripMassV(args.right_cum, args.right_size, args.right_lo,
-                        args.right_hi, av, bv);
-    result = Clamp01(total);
-  }
-
-  const VecD zero = {};
-  result = zero_lane ? zero : result;
-  StoreD(out, result);
-  return 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -473,7 +254,6 @@ const SimdOps* GetOps() {
   static const SimdOps ops = {
       /*width=*/kW,
       /*sorted_count_block=*/&SortedCountBlock,
-      /*kernel_block=*/&KernelBlock,
       /*psi_pair_sums=*/&PsiPairSums,
   };
   return &ops;

@@ -30,6 +30,39 @@ def bench(name, real_time, **counters):
     return entry
 
 
+def aggregate(name, kind, real_time, **counters):
+    entry = {
+        "name": f"{name}_{kind}",
+        "run_name": name,
+        "run_type": "aggregate",
+        "aggregate_name": kind,
+        "real_time": real_time,
+        "cpu_time": real_time,
+        "time_unit": "ns",
+    }
+    entry.update(counters)
+    return entry
+
+
+def repeated(name, times, aggregates=True, **counters):
+    """The rows --benchmark_repetitions=len(times) writes for one run: one
+    raw row per repetition, then mean, median and stddev aggregates."""
+    rows = []
+    for index, real_time in enumerate(times):
+        row = bench(name, real_time, **counters)
+        row.update({"run_name": name, "repetitions": len(times),
+                    "repetition_index": index})
+        rows.append(row)
+    if aggregates:
+        ordered = sorted(times)
+        rows.append(aggregate(name, "mean", sum(times) / len(times),
+                              **counters))
+        rows.append(aggregate(name, "median", ordered[len(ordered) // 2],
+                              **counters))
+        rows.append(aggregate(name, "stddev", 1.0))
+    return rows
+
+
 BASELINE = {"benchmarks": [bench("BM_A", 100.0, bit_identical=1.0),
                            bench("BM_B", 50.0)]}
 
@@ -117,6 +150,66 @@ class BenchDiffTest(unittest.TestCase):
             result = self.diff(old, new)
             self.assertEqual(result.returncode, 0, result.stderr)
             self.assertIn("no baseline", result.stdout)
+
+    def test_repeated_rows_compare_their_median(self):
+        old = self.write("old.json", {"benchmarks": repeated(
+            "BM_A", [100.0, 101.0, 99.0, 100.0, 102.0])})
+        # One slow repetition, last: the median holds, so no regression.
+        new = self.write("new.json", {"benchmarks": repeated(
+            "BM_A", [100.0, 99.0, 101.0, 98.0, 180.0])})
+        result = self.diff(old, new)
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertEqual(result.stdout.count("BM_A"), 1, result.stdout)
+        # Slow in the median, fast in the last repetition: a regression.
+        new = self.write("new.json", {"benchmarks": repeated(
+            "BM_A", [115.0, 116.0, 118.0, 117.0, 90.0])})
+        result = self.diff(old, new)
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("BM_A: 16.0% slower", result.stderr)
+        # One diverging repetition breaks identity whatever the median says.
+        rows = repeated("BM_A", [100.0] * 5, bit_identical=1.0)
+        rows[2]["bit_identical"] = 0.0
+        new = self.write("new.json", {"benchmarks": rows})
+        old = self.write("old.json", {"benchmarks": repeated(
+            "BM_A", [100.0] * 5, bit_identical=1.0)})
+        result = self.diff(old, new)
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("bit_identical dropped to 0 in: BM_A", result.stderr)
+
+    def test_aggregates_only_file_compares_its_median(self):
+        # --benchmark_report_aggregates_only: no raw rows at all.
+        def aggregates_only(median, mean):
+            return {"benchmarks": [aggregate("BM_A", "mean", mean),
+                                   aggregate("BM_A", "median", median),
+                                   aggregate("BM_A", "stddev", 3.0)]}
+        old = self.write("old.json", aggregates_only(100.0, 100.0))
+        new = self.write("new.json", aggregates_only(105.0, 140.0))
+        result = self.diff(old, new)
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertIn("1.050", result.stdout)
+        new = self.write("new.json", aggregates_only(130.0, 100.0))
+        result = self.diff(old, new)
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("BM_A: 30.0% slower", result.stderr)
+
+    def test_raw_rows_diff_against_medians(self):
+        # An old artifact of single raw rows (no run_name) against a new one
+        # recorded with repetitions, and back: the runs pair up by name.
+        medians = self.write("medians.json", {"benchmarks":
+            repeated("BM_A", [104.0, 96.0, 103.0, 97.0, 300.0],
+                     bit_identical=1.0)
+            + repeated("BM_B", [52.0, 51.0, 49.0], aggregates=False)})
+        raw = self.write("raw.json", BASELINE)
+        for old, new in ((raw, medians), (medians, raw)):
+            result = self.diff(old, new)
+            self.assertEqual(result.returncode, 0, result.stderr)
+            self.assertNotIn("removed:", result.stdout)
+            self.assertNotIn("added:", result.stdout)
+            self.assertEqual(result.stdout.count("BM_A"), 1, result.stdout)
+        # BM_A's median is 103, BM_B's middle raw row 51.
+        result = self.diff(raw, medians)
+        self.assertIn("1.030", result.stdout)
+        self.assertIn("1.020", result.stdout)
 
     def test_file_without_benchmarks_only_warns(self):
         # The hand-rolled BENCH_durability.json shape: no "benchmarks" list.

@@ -89,7 +89,7 @@ std::vector<RangeQuery> MakeQueries(size_t n, uint64_t seed) {
         break;
     }
   }
-  // Non-finite bounds exercise the vector kernels' bail-to-scalar path.
+  // Non-finite bounds: NaN and inverted lanes answer 0 in every path.
   if (n >= 64) {
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
@@ -211,10 +211,9 @@ TEST(SimdIdentityGuardedTest, GuardedChainBatchBitIdentical) {
   ExpectBatchBitIdentical(*guarded->estimator, "guarded(kernel)");
 }
 
-// The kernel estimator's three boundary policies each route differently
-// through the vector kernel (plain CdfSum, reflected sample strip, strip
-// tables + interior); cover them all explicitly on top of the factory
-// defaults.
+// The kernel estimator's three boundary policies each answer through a
+// different path (plain CdfSum, reflected sample strip, strip tables +
+// interior); cover them all explicitly on top of the factory defaults.
 TEST(SimdIdentityKernelBoundaryTest, AllBoundaryPoliciesBitIdentical) {
   if (SupportedVectorTiers().empty()) {
     GTEST_SKIP() << "host has no vector tier; scalar path is the reference";
@@ -232,8 +231,8 @@ TEST(SimdIdentityKernelBoundaryTest, AllBoundaryPoliciesBitIdentical) {
   }
 }
 
-// Non-Epanechnikov kernels have no vector path; the batch API must still
-// answer (scalar fallback) and still match per-query exactly.
+// Non-Epanechnikov kernels scan their samples instead of reading the CDF
+// table; the batch API must still match per-query exactly.
 TEST(SimdIdentityKernelBoundaryTest, NonEpanechnikovFallsBackCleanly) {
   const auto sample = MixtureSample(800, 80);
   KernelEstimatorOptions options;

@@ -8,6 +8,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -110,6 +111,46 @@ TEST(LiveServerTest, RegistrationServesBitIdenticalToDirectBuild) {
   EXPECT_EQ(stats.value().generation, 1u);
   EXPECT_GT(stats.value().serves, 0u);
   EXPECT_EQ(stats.value().refreshes, 0u);
+}
+
+// NaN and inverted bounds answer exactly 0 from every estimator kind, from
+// a direct build and through EstimateDetailed, which hands a client's bounds
+// to the served estimator as they are.
+TEST(LiveServerTest, NanAndInvertedBoundsAnswerZeroForEveryKind) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double mid = 0.5 * (kDomain.lo + kDomain.hi);
+  const RangeQuery bad[] = {
+      {nan, mid},         {kDomain.lo, nan}, {nan, nan},
+      {nan, inf},         {-inf, nan},       {mid + 100.0, mid},
+      {kDomain.hi, kDomain.lo}, {inf, -inf},
+  };
+  const std::vector<double> rows = MakeRows(2000, 21);
+  LiveStatisticsServer server(InlineOptions());
+  for (const EstimatorKind kind :
+       {EstimatorKind::kSampling, EstimatorKind::kUniform,
+        EstimatorKind::kEquiWidth, EstimatorKind::kEquiDepth,
+        EstimatorKind::kMaxDiff, EstimatorKind::kAverageShifted,
+        EstimatorKind::kKernel, EstimatorKind::kHybrid,
+        EstimatorKind::kVOptimal, EstimatorKind::kAdaptiveKernel,
+        EstimatorKind::kWavelet, EstimatorKind::kFeedback,
+        EstimatorKind::kReconstructed, EstimatorKind::kOnlineLearning}) {
+    EstimatorConfig config;
+    config.kind = kind;
+    const std::string attribute = EstimatorKindName(kind);
+    auto direct = BuildEstimator(rows, kDomain, config);
+    ASSERT_TRUE(direct.ok()) << attribute;
+    ASSERT_TRUE(
+        server.RegisterColumn("t", attribute, kDomain, config, rows).ok());
+    for (const RangeQuery& query : bad) {
+      EXPECT_EQ(direct.value()->EstimateSelectivity(query), 0.0)
+          << attribute << " [" << query.a << ", " << query.b << "]";
+      auto served = server.EstimateDetailed("t", attribute, query);
+      ASSERT_TRUE(served.ok()) << attribute;
+      EXPECT_EQ(served->value, 0.0)
+          << attribute << " served [" << query.a << ", " << query.b << "]";
+    }
+  }
 }
 
 TEST(LiveServerTest, UnknownColumnAndBadRegistrationAreErrors) {

@@ -133,7 +133,6 @@ TEST(SimdDispatchTest, VectorTiersHaveDocumentedWidths) {
   if (const SimdOps* avx2 = SimdOpsForTier(SimdTier::kAvx2)) {
     EXPECT_EQ(avx2->width, 4);
     EXPECT_NE(avx2->sorted_count_block, nullptr);
-    EXPECT_NE(avx2->kernel_block, nullptr);
   }
   if (const SimdOps* avx512 = SimdOpsForTier(SimdTier::kAvx512)) {
     EXPECT_EQ(avx512->width, 8);

@@ -10,6 +10,15 @@ diffable perf trajectory; this tool is the diff:
 For every benchmark present in both files it reports the per-iteration
 time ratio new/old, and exits non-zero when any benchmark slowed down by
 more than the threshold (default 10%, override with --threshold-pct).
+
+Rows are keyed by `run_name`, so a file recorded with
+--benchmark_repetitions=N compares as one benchmark per run: its `median`
+aggregate row when the file has one (with or without
+--benchmark_report_aggregates_only), otherwise its raw row (the middle one
+by time if a file holds several raw rows and no median). One run of a
+benchmark moves by more than 10% on a busy host; the median of five does
+so far less often. Old files of single raw rows diff against new files of
+medians and back.
 Benchmarks present in only one file are listed but never fail the diff —
 a new benchmark is not a regression. Two files that both hold benchmarks
 but share none do fail: nothing was compared, so the pair is almost
@@ -47,21 +56,37 @@ import sys
 
 
 def load_benchmarks(path):
-    """Returns ({name: benchmark-entry}, {name: error message}) for a
-    google-benchmark JSON file; errored rows go to the second map only."""
+    """Returns ({run name: benchmark-entry}, {run name: error message}) for a
+    google-benchmark JSON file; errored rows go to the second map only.
+
+    The entry of a run is its median aggregate row if the file has one,
+    else its raw row (the middle one by time among several). A
+    `bit_identical` of 0 on any raw row of the run carries over to the
+    entry, so a median cannot hide one diverging repetition."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    out = {}
+    raw = {}
+    medians = {}
     errors = {}
     for entry in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev of --benchmark_repetitions);
-        # compare the raw iteration rows only.
-        if entry.get("run_type") == "aggregate":
-            continue
+        key = entry.get("run_name", entry["name"])
         if entry.get("error_occurred"):
-            errors[entry["name"]] = entry.get("error_message", "")
-            continue
-        out[entry["name"]] = entry
+            errors[key] = entry.get("error_message", "")
+        elif entry.get("run_type") != "aggregate":
+            raw.setdefault(key, []).append(entry)
+        elif entry.get("aggregate_name") == "median":
+            medians[key] = entry
+    out = {}
+    for key in (set(raw) | set(medians)) - set(errors):
+        rows = raw.get(key, [])
+        if key in medians:
+            entry = dict(medians[key])
+        else:
+            rows_by_time = sorted(rows, key=lambda row: time_per_iter(row)[0])
+            entry = dict(rows_by_time[(len(rows_by_time) - 1) // 2])
+        if any(row.get("bit_identical") == 0.0 for row in rows):
+            entry["bit_identical"] = 0.0
+        out[key] = entry
     return out, errors
 
 
