@@ -7,11 +7,15 @@
 // decodes a snapshot of the same build from in-memory bytes (file IO
 // excluded): the serialize-clone a merge refresh or a feedback publish
 // pays, and what a restart from a proven snapshot pays instead of a build.
+// BM_BuildHeadline/<config> builds the kernel family from a headline file's
+// sample instead, whose domain edges hold mass.
 #include <benchmark/benchmark.h>
 
 #include "src/data/domain.h"
 #include "src/est/estimator_factory.h"
 #include "src/est/estimator_snapshot.h"
+#include "src/eval/experiment.h"
+#include "src/eval/paper_data.h"
 #include "src/smoothing/direct_plug_in.h"
 #include "src/util/random.h"
 
@@ -79,6 +83,35 @@ BUILD_AND_LOAD(MaxDiff, kMaxDiff, 1 << 15);
 BUILD_AND_LOAD(Kernel, kKernel, 1 << 15);
 BUILD_AND_LOAD(Hybrid, kHybrid, 1 << 13);
 BUILD_AND_LOAD(Ash, kAverageShifted, 1 << 15);
+BUILD_AND_LOAD(AdaptiveKernel, kAdaptiveKernel, 1 << 15);
+
+// The Fig. 12 protocol's 2,000-row sample of rr2(22), a TIGER-like file
+// with mass up to both domain edges and density steps inside. The
+// synthetic Gaussian above puts almost none near its edges, so its
+// boundary strips and pilots cost far less than on real data.
+void BM_BuildHeadline(benchmark::State& state, EstimatorKind kind,
+                      SmoothingRule rule) {
+  static const Dataset data = MakePaperDataset("rr2(22)").value();
+  ProtocolConfig protocol;
+  protocol.seed = 17;
+  const ExperimentSetup setup = MakeSetup(data, protocol);
+  EstimatorConfig config;
+  config.kind = kind;
+  config.smoothing = rule;
+  for (auto _ : state) {
+    auto est = BuildEstimator(setup.sample, setup.domain(), config);
+    benchmark::DoNotOptimize(est);
+  }
+}
+BENCHMARK_CAPTURE(BM_BuildHeadline, kernel_ns, EstimatorKind::kKernel,
+                  SmoothingRule::kNormalScale);
+BENCHMARK_CAPTURE(BM_BuildHeadline, kernel_dpi2, EstimatorKind::kKernel,
+                  SmoothingRule::kDirectPlugIn);
+BENCHMARK_CAPTURE(BM_BuildHeadline, hybrid, EstimatorKind::kHybrid,
+                  SmoothingRule::kNormalScale);
+BENCHMARK_CAPTURE(BM_BuildHeadline, adaptive_kernel,
+                  EstimatorKind::kAdaptiveKernel,
+                  SmoothingRule::kNormalScale);
 
 void BM_DirectPlugInBandwidth(benchmark::State& state) {
   const auto sample = MakeSample(static_cast<size_t>(state.range(0)));

@@ -7,7 +7,10 @@
 // so G is a piecewise cubic with breakpoints x_i ± h_i. The table keeps
 // each piece's four cubic coefficients in the piece's own local coordinate
 // s = t − start, and G(t) is one branch-free search over the starts plus
-// one Horner step: O(log n), however many samples lie near t.
+// one Horner step: O(log n), however many samples lie near t. Its
+// derivative G′ is the Epanechnikov density sum, read the same way: the
+// boundary strips, the adaptive pilot and the hybrid's change-point pilot
+// evaluate their densities from it.
 //
 // One sweep over the sorted enter (x_i − h_i) and leave (x_i + h_i) events
 // fills it: the running cubic is Taylor-shifted from start to start, an
@@ -56,6 +59,20 @@ class EpanechnikovCdfTable {
     const double s = std::max(t - starts_[piece], 0.0);
     const double* c = coefficients_.data() + 4 * piece;
     return ((c[3] * s + c[2]) * s + c[1]) * s + c[0];
+  }
+
+  // G′(t) = Σ_i K((t − x_i)/h_i)/h_i, K(u) = 3(1 − u²)/4 on [−1, 1]: the
+  // Epanechnikov density sum, from the same search and the derivative of
+  // the piece's cubic. Exactly 0 outside every support (the recomputation
+  // at an emptied window zeroes c1..c3). Requires a non-empty table and a
+  // finite t.
+  double Derivative(double t) const {
+    const size_t above =
+        BranchFreeUpperBound(starts_.data(), starts_.size(), t);
+    if (above == 0) return 0.0;  // left of every support
+    const double s = t - starts_[above - 1];
+    const double* c = coefficients_.data() + 4 * (above - 1);
+    return (3.0 * c[3] * s + 2.0 * c[2]) * s + c[1];
   }
 
   size_t num_pieces() const { return starts_.size(); }

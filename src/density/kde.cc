@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/density/boundary_kernel.h"
+#include "src/density/epanechnikov_cdf_table.h"
 #include "src/util/check.h"
 
 namespace selest {
@@ -26,6 +27,10 @@ StatusOr<Kde> Kde::Create(std::span<const double> sample, double bandwidth,
   if (sample.empty()) {
     return InvalidArgumentError("kde needs a non-empty sample");
   }
+  if (!std::all_of(sample.begin(), sample.end(),
+                   [](double x) { return std::isfinite(x); })) {
+    return InvalidArgumentError("kde samples must be finite");
+  }
   if (!(bandwidth > 0.0) || !std::isfinite(bandwidth)) {
     return InvalidArgumentError("kde bandwidth must be positive and finite");
   }
@@ -34,21 +39,9 @@ StatusOr<Kde> Kde::Create(std::span<const double> sample, double bandwidth,
     return InvalidArgumentError(
         "boundary kernels extend the Epanechnikov kernel only");
   }
-  std::vector<double> samples(sample.begin(), sample.end());
-  const size_t original_count = samples.size();
-  if (boundary == BoundaryPolicy::kReflection) {
-    // Mirror samples within one kernel radius of each boundary (§3.2.1);
-    // those samples are counted twice.
-    const double radius = kernel.support_radius() * bandwidth;
-    for (size_t i = 0; i < original_count; ++i) {
-      const double x = samples[i];
-      if (x - domain.lo < radius) samples.push_back(2.0 * domain.lo - x);
-      if (domain.hi - x < radius) samples.push_back(2.0 * domain.hi - x);
-    }
-  }
-  std::sort(samples.begin(), samples.end());
-  return Kde(std::move(samples), original_count, bandwidth, domain, kernel,
-             boundary);
+  return Kde(EffectiveSample(sample, domain, boundary,
+                             kernel.support_radius() * bandwidth),
+             sample.size(), bandwidth, domain, kernel, boundary);
 }
 
 Kde::Kde(std::vector<double> samples, size_t original_count, double bandwidth,
@@ -112,6 +105,41 @@ double Kde::BoundaryKernelDensity(double x) const {
     }
   }
   return sum / (static_cast<double>(original_count_) * h);
+}
+
+std::vector<double> EffectiveSample(std::span<const double> sample,
+                                    const Domain& domain,
+                                    BoundaryPolicy boundary, double radius) {
+  std::vector<double> points(sample.begin(), sample.end());
+  if (boundary == BoundaryPolicy::kReflection) {
+    // Points within one kernel radius of a boundary are counted twice.
+    for (const double x : sample) {
+      if (x - domain.lo < radius) points.push_back(2.0 * domain.lo - x);
+      if (domain.hi - x < radius) points.push_back(2.0 * domain.hi - x);
+    }
+  }
+  std::sort(points.begin(), points.end());
+  return points;
+}
+
+std::function<double(double)> ReflectedPilotDensity(
+    std::span<const double> sample, double bandwidth, const Domain& domain,
+    Kernel kernel) {
+  if (kernel.type() != KernelType::kEpanechnikov) {
+    auto kde = Kde::Create(sample, bandwidth, domain, kernel,
+                           BoundaryPolicy::kReflection);
+    SELEST_CHECK(kde.ok());
+    return std::move(kde).value();
+  }
+  SELEST_CHECK(!sample.empty());
+  // Σ_i K(u_i)/h over the reflected sample, divided by the original n as
+  // Kde::Density divides it.
+  const double n = static_cast<double>(sample.size());
+  return [table = EpanechnikovCdfTable(
+              EffectiveSample(sample, domain, BoundaryPolicy::kReflection,
+                              bandwidth),
+              bandwidth),
+          n](double x) { return table.Derivative(x) / n; };
 }
 
 }  // namespace selest

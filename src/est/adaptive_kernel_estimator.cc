@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <utility>
 
 #include "src/density/kde.h"
@@ -39,14 +40,13 @@ StatusOr<AdaptiveKernelEstimator> AdaptiveKernelEstimator::Create(
   }
 
   // Pilot density at the samples (reflection keeps boundary pilots sane).
-  auto pilot = Kde::Create(sorted, h0, domain, options.kernel,
-                           BoundaryPolicy::kReflection);
-  if (!pilot.ok()) return pilot.status();
+  const std::function<double(double)> pilot =
+      ReflectedPilotDensity(sorted, h0, domain, options.kernel);
   std::vector<double> pilot_density(sorted.size());
   double log_sum = 0.0;
   constexpr double kFloor = 1e-300;
   for (size_t i = 0; i < sorted.size(); ++i) {
-    pilot_density[i] = std::max(pilot->Density(sorted[i]), kFloor);
+    pilot_density[i] = std::max(pilot(sorted[i]), kFloor);
     log_sum += std::log(pilot_density[i]);
   }
   const double geometric_mean =

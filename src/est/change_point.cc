@@ -7,8 +7,9 @@
 
 namespace selest {
 
-std::vector<double> DetectChangePoints(const Kde& pilot, const Domain& domain,
-                                       const ChangePointConfig& config) {
+std::vector<double> DetectChangePoints(
+    const std::function<double(double)>& pilot_density, const Domain& domain,
+    const ChangePointConfig& config) {
   SELEST_CHECK_GE(config.grid_size, 8);
   SELEST_CHECK_GE(config.max_change_points, 0);
   const int grid = config.grid_size;
@@ -17,7 +18,7 @@ std::vector<double> DetectChangePoints(const Kde& pilot, const Domain& domain,
   // Pilot density on the grid, then |f''| by central second differences.
   std::vector<double> density(grid + 1);
   for (int i = 0; i <= grid; ++i) {
-    density[i] = pilot.Density(domain.lo + i * step);
+    density[i] = pilot_density(domain.lo + i * step);
   }
   std::vector<double> curvature(grid + 1, 0.0);
   double mean_curvature = 0.0;

@@ -3,18 +3,19 @@
 // The paper detects change points of the underlying PDF at the maxima of
 // the (estimated) second derivative: the asymptotic kernel error is driven
 // by f'' (equation (9a)), so splitting the domain where |f''| peaks removes
-// the worst error contributions. Detection runs on a pilot KDE evaluated on
-// a grid; further change points are found recursively inside the resulting
-// partitions.
+// the worst error contributions. Detection evaluates a pilot density on a
+// grid, any callable x ↦ f̂(x): the hybrid passes the reflecting pilot of
+// density/kde.h (the derivative of a cumulative table for the Epanechnikov
+// kernel, Kde::Density for other shapes). Further change points are found
+// recursively inside the resulting partitions.
 #ifndef SELEST_EST_CHANGE_POINT_H_
 #define SELEST_EST_CHANGE_POINT_H_
 
-#include <span>
+#include <functional>
 #include <vector>
 
 #include "src/data/domain.h"
 #include "src/density/kde.h"
-#include "src/util/status.h"
 
 namespace selest {
 
@@ -32,12 +33,14 @@ struct ChangePointConfig {
   double min_separation_fraction = 0.02;
 };
 
-// Returns change-point locations (ascending) detected from the pilot
-// density `pilot` over `domain`. May return fewer than
+// Returns change-point locations (ascending) detected from
+// `pilot_density` over `domain`, evaluated once at each of the
+// config.grid_size + 1 grid points. May return fewer than
 // config.max_change_points (possibly none) when no significant curvature
 // maxima exist.
-std::vector<double> DetectChangePoints(const Kde& pilot, const Domain& domain,
-                                       const ChangePointConfig& config);
+std::vector<double> DetectChangePoints(
+    const std::function<double(double)>& pilot_density, const Domain& domain,
+    const ChangePointConfig& config);
 
 }  // namespace selest
 

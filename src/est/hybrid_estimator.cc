@@ -15,6 +15,10 @@ StatusOr<HybridEstimator> HybridEstimator::Create(
   if (sample.empty()) {
     return InvalidArgumentError("hybrid estimator needs a non-empty sample");
   }
+  if (!std::all_of(sample.begin(), sample.end(),
+                   [](double x) { return std::isfinite(x); })) {
+    return InvalidArgumentError("hybrid estimator samples must be finite");
+  }
   if (options.min_bin_fraction < 0.0 || options.min_bin_fraction >= 1.0) {
     return InvalidArgumentError("min_bin_fraction must be in [0, 1)");
   }
@@ -27,11 +31,13 @@ StatusOr<HybridEstimator> HybridEstimator::Create(
   if (pilot_bandwidth <= 0.0) {
     pilot_bandwidth = NormalScaleBandwidth(sorted, domain, options.kernel);
   }
-  auto pilot = Kde::Create(sorted, pilot_bandwidth, domain, options.kernel,
-                           BoundaryPolicy::kReflection);
-  if (!pilot.ok()) return pilot.status();
-  std::vector<double> change_points =
-      DetectChangePoints(pilot.value(), domain, options.change_points);
+  if (!(pilot_bandwidth > 0.0) || !std::isfinite(pilot_bandwidth)) {
+    return InvalidArgumentError(
+        "hybrid pilot bandwidth must be positive and finite");
+  }
+  std::vector<double> change_points = DetectChangePoints(
+      ReflectedPilotDensity(sorted, pilot_bandwidth, domain, options.kernel),
+      domain, options.change_points);
 
   // 2. Partition at the change points, then merge under-populated bins.
   std::vector<double> partition;

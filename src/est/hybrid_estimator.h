@@ -4,8 +4,9 @@
 // survey weights) have change points where the density jumps and the kernel
 // error concentrates. The hybrid estimator:
 //
-//   1. builds a pilot KDE and detects change points at the maxima of the
-//      estimated second derivative (est/change_point.h);
+//   1. evaluates a reflecting pilot density (density/kde.h) on a grid and
+//      detects change points at the maxima of its second derivative
+//      (est/change_point.h);
 //   2. partitions the domain into histogram bins at the change points and
 //      merges bins holding too few samples;
 //   3. runs an independent kernel estimator inside each bin — with its own

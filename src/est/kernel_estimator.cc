@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "src/est/estimator_snapshot.h"
@@ -33,56 +32,82 @@ StatusOr<KernelEstimator> KernelEstimator::Create(
         "boundary kernels extend the Epanechnikov kernel only");
   }
 
-  std::vector<double> sorted(sample.begin(), sample.end());
-  const size_t original_count = sorted.size();
-  if (options.boundary == BoundaryPolicy::kReflection) {
-    const double radius =
-        options.kernel.support_radius() * options.bandwidth;
-    for (size_t i = 0; i < original_count; ++i) {
-      const double x = sorted[i];
-      if (x - domain.lo < radius) sorted.push_back(2.0 * domain.lo - x);
-      if (domain.hi - x < radius) sorted.push_back(2.0 * domain.hi - x);
-    }
-  }
-  std::sort(sorted.begin(), sorted.end());
-
-  std::optional<Kde> boundary_kde;
+  KernelEstimator estimator(
+      EffectiveSample(sample, domain, options.boundary,
+                      options.kernel.support_radius() * options.bandwidth),
+      sample.size(), domain, options);
   if (options.boundary == BoundaryPolicy::kBoundaryKernel) {
-    auto kde = Kde::Create(sample, options.bandwidth, domain, options.kernel,
-                           BoundaryPolicy::kBoundaryKernel);
-    if (!kde.ok()) return kde.status();
-    boundary_kde = std::move(kde).value();
+    const double h = options.bandwidth;
+    const int nodes = options.quadrature_intervals * 16;
+    const double left_end = std::min(domain.lo + h, domain.hi);
+    estimator.left_strip_ = estimator.BuildStripTable(domain.lo, left_end,
+                                                      nodes);
+    estimator.right_strip_ = estimator.BuildStripTable(
+        std::max(domain.hi - h, left_end), domain.hi, nodes);
   }
-  return KernelEstimator(std::move(sorted), original_count, domain, options,
-                         boundary_kde ? &*boundary_kde : nullptr);
+  return estimator;
 }
 
 KernelEstimator::KernelEstimator(std::vector<double> sorted,
                                  size_t original_count, const Domain& domain,
-                                 const KernelEstimatorOptions& options,
-                                 const Kde* boundary_kde)
+                                 const KernelEstimatorOptions& options)
     : sorted_(std::move(sorted)),
       original_count_(original_count),
       domain_(domain),
       options_(options) {
-  if (boundary_kde != nullptr) {
-    const double h = options_.bandwidth;
-    const int nodes = options_.quadrature_intervals * 16;
-    const double left_end = std::min(domain_.lo + h, domain_.hi);
-    left_strip_ = BuildStripTable(*boundary_kde, domain_.lo, left_end, nodes);
-    const double right_begin = std::max(domain_.hi - h, left_end);
-    right_strip_ =
-        BuildStripTable(*boundary_kde, right_begin, domain_.hi, nodes);
-  }
   if (options_.kernel.type() == KernelType::kEpanechnikov) {
     cdf_table_ = EpanechnikovCdfTable(sorted_, options_.bandwidth);
   }
 }
 
-KernelEstimator::StripTable KernelEstimator::BuildStripTable(const Kde& kde,
-                                                             double lo,
+double KernelEstimator::BoundaryKernelDensity(double x) const {
+  const double h = options_.bandwidth;
+  // No sample lies within a bandwidth of x, so none is in any support
+  // below: the density is exactly 0.
+  if (x + h < sorted_.front() || x - h > sorted_.back()) return 0.0;
+  const double n = static_cast<double>(original_count_);
+  const bool near_left = x - domain_.lo < h;
+  if (!near_left && !(domain_.hi - x < h)) {
+    return cdf_table_.Derivative(x) / n;
+  }
+  // With u = (x − X)/h, the boundary kernel sums 3 + 3q² − 6u² =
+  // 3(q² − 1) + 6(1 − u²) over its support, [x − qh, x + h] on the left
+  // and [x − h, x + qh] on the right, and G′(x) = (3/4h) Σ (1 − u²) over
+  // [x − h, x + h]. The samples between the two supports sit at or beyond
+  // the domain edge (x − qh rounds to about lo); they leave the sum
+  // explicitly, exactly as the boundary kernel's searches exclude them.
+  const double* data = sorted_.data();
+  const size_t size = sorted_.size();
+  double q;
+  size_t first;  // the boundary kernel's support is samples [first, last)
+  size_t last;
+  double cut = 0.0;  // Σ (1 − u²) over G′'s support outside it
+  const auto cut_sample = [&](size_t i) {
+    const double u = (x - data[i]) / h;
+    cut += (1.0 - u) * (1.0 + u);
+  };
+  if (near_left) {
+    q = std::clamp((x - domain_.lo) / h, 0.0, 1.0);
+    first = BranchFreeLowerBound(data, size, x - q * h);
+    last = BranchFreeUpperBound(data, size, x + h);
+    for (size_t i = first; i > 0 && data[i - 1] >= x - h; --i) {
+      cut_sample(i - 1);
+    }
+  } else {
+    q = std::clamp((domain_.hi - x) / h, 0.0, 1.0);
+    first = BranchFreeLowerBound(data, size, x - h);
+    last = BranchFreeUpperBound(data, size, x + q * h);
+    for (size_t i = last; i < size && data[i] <= x + h; ++i) cut_sample(i);
+  }
+  const double one_plus_q = 1.0 + q;
+  return (3.0 * (q * q - 1.0) * static_cast<double>(last - first) +
+          8.0 * h * cdf_table_.Derivative(x) - 6.0 * cut) /
+         (one_plus_q * one_plus_q * one_plus_q * n * h);
+}
+
+KernelEstimator::StripTable KernelEstimator::BuildStripTable(double lo,
                                                              double hi,
-                                                             int nodes) {
+                                                             int nodes) const {
   StripTable table;
   table.lo = lo;
   table.hi = hi;
@@ -92,9 +117,9 @@ KernelEstimator::StripTable KernelEstimator::BuildStripTable(const Kde& kde,
   // Boundary kernels are second-order kernels with a negative lobe; the
   // density is truncated at zero so the cumulative table is non-decreasing
   // and the resulting selectivities are monotone in the query bounds.
-  double previous = std::max(kde.Density(lo), 0.0);
+  double previous = std::max(BoundaryKernelDensity(lo), 0.0);
   for (int i = 1; i <= nodes; ++i) {
-    const double current = std::max(kde.Density(lo + i * step), 0.0);
+    const double current = std::max(BoundaryKernelDensity(lo + i * step), 0.0);
     table.cumulative[i] =
         table.cumulative[i - 1] + 0.5 * step * (previous + current);
     previous = current;
@@ -270,10 +295,9 @@ StatusOr<KernelEstimator> KernelEstimator::DeserializeState(
         "kernel snapshot quadrature resolution out of range");
   }
   options.quadrature_intervals = static_cast<int>(quadrature);
-  // The boundary KDE exists only to build the strip tables at construction;
-  // the tables are restored verbatim below, so the KDE is not rebuilt.
+  // The strip tables are restored verbatim below, not rebuilt.
   KernelEstimator estimator(std::move(sorted), original_count, domain,
-                            options, nullptr);
+                            options);
   for (StripTable* strip : {&estimator.left_strip_, &estimator.right_strip_}) {
     SELEST_ASSIGN_OR_RETURN(strip->lo, reader.ReadDouble());
     SELEST_ASSIGN_OR_RETURN(strip->hi, reader.ReadDouble());

@@ -14,7 +14,8 @@
 //
 // Boundary handling follows §3.2.1: none, reflection, or Simonoff–Dong
 // boundary kernels (the latter integrates the boundary strips by
-// quadrature; see DESIGN.md).
+// quadrature, reading the density at each node from the same table; see
+// DESIGN.md).
 #ifndef SELEST_EST_KERNEL_ESTIMATOR_H_
 #define SELEST_EST_KERNEL_ESTIMATOR_H_
 
@@ -78,9 +79,8 @@ class KernelEstimator : public SelectivityEstimator {
   }
   // Persists the derived state (sorted samples with reflections applied,
   // precomputed boundary strip tables) so deserialization skips the
-  // quadrature rebuild; the boundary KDE is construction-only scaffolding
-  // and is not restored. The CDF table is not persisted either: it is
-  // rebuilt from the samples in O(n), bit for bit.
+  // quadrature rebuild. The CDF table is not persisted: it is rebuilt from
+  // the samples in O(n), bit for bit.
   Status SerializeState(ByteWriter& writer) const override;
   static StatusOr<KernelEstimator> DeserializeState(ByteReader& reader);
 
@@ -98,18 +98,24 @@ class KernelEstimator : public SelectivityEstimator {
     double CumulativeAt(double x) const;
   };
 
-  // Builds the strip tables from `boundary_kde` when it is set.
+  // Builds the CDF table; Create adds the strip tables, DeserializeState
+  // restores them.
   KernelEstimator(std::vector<double> sorted, size_t original_count,
-                  const Domain& domain, const KernelEstimatorOptions& options,
-                  const Kde* boundary_kde);
+                  const Domain& domain, const KernelEstimatorOptions& options);
 
   // Sum of per-sample CDF differences over the (already clamped) range,
   // divided by the original sample count: two table lookups for the
   // Epanechnikov kernel, the per-sample fringe scan for other shapes.
   double CdfSum(double a, double b) const;
 
-  static StripTable BuildStripTable(const Kde& kde, double lo, double hi,
-                                    int nodes);
+  // The boundary-kernel density at x, as Kde::Density computes it under
+  // kBoundaryKernel, from the CDF table's G′ and a count: O(log n) plus
+  // the samples at or beyond a domain edge that only G′ covers.
+  double BoundaryKernelDensity(double x) const;
+
+  // Trapezoid cumulative mass of the truncated density on `nodes`
+  // intervals of [lo, hi].
+  StripTable BuildStripTable(double lo, double hi, int nodes) const;
 
   // Reflected copies included when reflecting.
   std::vector<double> sorted_;
