@@ -1,5 +1,5 @@
-// Micro-benchmark: per-query estimation cost, plus the Fig. 12 sweep
-// wall-clock across thread counts.
+// Micro-benchmark: per-query estimation cost, plus whole-sweep wall-clocks
+// (Fig. 12, and one perfbench `analyze` cell) across thread counts.
 //
 // §3.2 gives the kernel selectivity estimator a Θ(n) scan cost and notes
 // that a search-tree organization reduces it to O(log n + k). The kernel
@@ -13,11 +13,12 @@
 // BM_PsiFunctional times the O(n²) ψ̂ pair sum behind the h-DPI rules on
 // each SIMD tier against the per-pair loop it replaced.
 //
-// BM_Fig12SweepWallClock tracks the parallel trajectory: its JSON output
-// (--benchmark_format=json) carries `threads`, `speedup_vs_serial`, and
-// `mre_bit_identical` counters so successive BENCH_*.json files record how
-// the parallel runner scales — and that no thread count, one included,
-// moved an MRE off the per-query serial reference (Evaluate).
+// BM_Fig12SweepWallClock and BM_PaperSweepWallClock track the parallel
+// trajectory: their JSON output (--benchmark_format=json) carries
+// `threads`, `speedup_vs_serial`, and `mre_bit_identical` counters so
+// successive BENCH_*.json files record how the parallel runner scales — and
+// that no thread count, one included, moved an MRE off the per-query serial
+// reference (Evaluate).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -543,106 +544,77 @@ BENCHMARK(BM_PsiFunctional)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
-// --- The Fig. 12 sweep across thread counts ---
+// --- Whole sweeps across thread counts ---
 //
-// One full sweep = the four headline configs of Fig. 12 (equi-width h-NS,
-// kernel h-DPI2 with boundary kernels, hybrid, ASH-10) built from the
-// standard 2,000-record sample and scored on the 1,000-query file of one
-// headline data file — builds and evaluation both included, exactly what
-// RunConfigsParallel fans out.
+// One sweep = a config list built from the Fig. 12 protocol's 2,000-record
+// sample (seed 17) and scored on its 1,000 queries of 1% on one headline
+// data file — builds and evaluation both included, exactly what
+// RunConfigsParallel fans out. BM_Fig12SweepWallClock runs the four
+// headline configs of Fig. 12 (equi-width h-NS, kernel h-DPI2 with
+// boundary kernels, hybrid, ASH-10) on n(20). BM_PaperSweepWallClock runs
+// the 13 configs of one perfbench `analyze` cell (PaperSweepConfigs in
+// perfbench/src/sweep.cc) on rr2(22), where the two h-DPI2 builds set the
+// critical path.
 
-struct Fig12Workload {
-  Dataset data;
-  ExperimentSetup setup;
-  std::vector<EstimatorConfig> configs;
-
-  Fig12Workload(Dataset d, const ProtocolConfig& protocol) : data(std::move(d)) {
-    setup = MakeSetup(data, protocol);
-  }
-};
-
-const Fig12Workload& GetFig12Workload() {
-  static const Fig12Workload* workload = [] {
-    auto data = MakePaperDataset("n(20)");
-    if (!data.ok()) {
-      std::fprintf(stderr, "loading n(20) failed: %s\n",
-                   data.status().ToString().c_str());
-      std::exit(1);
-    }
-    ProtocolConfig protocol;
-    protocol.seed = 17;
-    auto* out = new Fig12Workload(std::move(data).value(), protocol);
-
-    EstimatorConfig ewh;
-    ewh.kind = EstimatorKind::kEquiWidth;
-    out->configs.push_back(ewh);
-    EstimatorConfig kernel;
-    kernel.kind = EstimatorKind::kKernel;
-    kernel.smoothing = SmoothingRule::kDirectPlugIn;
-    kernel.boundary = BoundaryPolicy::kBoundaryKernel;
-    out->configs.push_back(kernel);
-    EstimatorConfig hybrid;
-    hybrid.kind = EstimatorKind::kHybrid;
-    hybrid.boundary = BoundaryPolicy::kBoundaryKernel;
-    out->configs.push_back(hybrid);
-    EstimatorConfig ash;
-    ash.kind = EstimatorKind::kAverageShifted;
-    ash.ash_shifts = 10;
-    out->configs.push_back(ash);
-    return out;
-  }();
-  return *workload;
-}
-
-// Serial reference: the `threads = 1` sweep's wall-clock, and the
+// A sweep and its serial reference: the `threads = 1` wall-clock, and the
 // per-config MREs of the per-query serial reference (BuildEstimator +
 // Evaluate, one EstimateSelectivity call per query) that every run,
 // `threads = 1` included, must reproduce bit-identically.
-struct SerialBaseline {
-  double seconds_per_sweep = 0.0;
-  std::vector<double> mres;
+struct SweepWorkload {
+  explicit SweepWorkload(Dataset d) : data(std::move(d)) {}
+
+  Dataset data;
+  ExperimentSetup setup;
+  std::vector<EstimatorConfig> configs;
+  std::vector<double> reference_mres;
+  double serial_seconds = 0.0;
 };
 
-const SerialBaseline& GetSerialBaseline() {
-  static const SerialBaseline* baseline = [] {
-    const Fig12Workload& workload = GetFig12Workload();
-    auto* out = new SerialBaseline();
-    const GroundTruth truth(*workload.setup.data);
-    for (const EstimatorConfig& config : workload.configs) {
-      auto estimator = BuildEstimator(workload.setup.sample,
-                                      workload.setup.domain(), config);
-      if (!estimator.ok()) {
-        std::fprintf(stderr, "fig12 config failed: %s\n",
-                     estimator.status().ToString().c_str());
-        std::exit(1);
-      }
-      out->mres.push_back(
-          Evaluate(*estimator.value(), workload.setup.queries, truth)
-              .mean_relative_error);
+const SweepWorkload* MakeSweepWorkload(const char* file,
+                                       std::vector<EstimatorConfig> configs) {
+  auto data = MakePaperDataset(file);
+  if (!data.ok()) {
+    std::fprintf(stderr, "loading %s failed: %s\n", file,
+                 data.status().ToString().c_str());
+    std::exit(1);
+  }
+  auto* out = new SweepWorkload(std::move(data).value());
+  ProtocolConfig protocol;
+  protocol.seed = 17;
+  out->setup = MakeSetup(out->data, protocol);
+  out->configs = std::move(configs);
+
+  const GroundTruth truth(out->data);
+  for (const EstimatorConfig& config : out->configs) {
+    auto estimator =
+        BuildEstimator(out->setup.sample, out->setup.domain(), config);
+    if (!estimator.ok()) {
+      std::fprintf(stderr, "%s sweep config failed: %s\n", file,
+                   estimator.status().ToString().c_str());
+      std::exit(1);
     }
-    ParallelExecOptions serial;
-    serial.threads = 1;
-    // Warm-up run sorts the ground-truth cache and faults in the sample.
-    auto warm = RunConfigsParallel(workload.setup, workload.configs, serial);
-    benchmark::DoNotOptimize(warm);
-    constexpr int kReps = 3;
-    const auto start = std::chrono::steady_clock::now();
-    for (int rep = 0; rep < kReps; ++rep) {
-      auto reports =
-          RunConfigsParallel(workload.setup, workload.configs, serial);
-      benchmark::DoNotOptimize(reports);
-    }
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    out->seconds_per_sweep = elapsed.count() / kReps;
-    return out;
-  }();
-  return *baseline;
+    out->reference_mres.push_back(
+        Evaluate(*estimator.value(), out->setup.queries, truth)
+            .mean_relative_error);
+  }
+  ParallelExecOptions serial;
+  serial.threads = 1;
+  // Warm-up run sorts the ground-truth cache and faults in the sample.
+  auto warm = RunConfigsParallel(out->setup, out->configs, serial);
+  benchmark::DoNotOptimize(warm);
+  constexpr int kReps = 3;
+  const auto start = std::chrono::steady_clock::now();
+  for (int rep = 0; rep < kReps; ++rep) {
+    auto reports = RunConfigsParallel(out->setup, out->configs, serial);
+    benchmark::DoNotOptimize(reports);
+  }
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  out->serial_seconds = elapsed.count() / kReps;
+  return out;
 }
 
-void BM_Fig12SweepWallClock(benchmark::State& state) {
-  const Fig12Workload& workload = GetFig12Workload();
-  const SerialBaseline& baseline = GetSerialBaseline();
+void SweepWallClock(benchmark::State& state, const SweepWorkload& workload) {
   ParallelExecOptions options;
   options.threads = static_cast<size_t>(state.range(0));
 
@@ -660,7 +632,7 @@ void BM_Fig12SweepWallClock(benchmark::State& state) {
     for (size_t c = 0; c < reports.size(); ++c) {
       // Exact comparison: the determinism contract is bit-identity.
       if (!reports[c].ok() ||
-          reports[c]->mean_relative_error != baseline.mres[c]) {
+          reports[c]->mean_relative_error != workload.reference_mres[c]) {
         identical = false;
       }
     }
@@ -673,10 +645,61 @@ void BM_Fig12SweepWallClock(benchmark::State& state) {
   state.counters["mre_bit_identical"] = identical ? 1.0 : 0.0;
   state.counters["speedup_vs_serial"] =
       iterations > 0 && seconds > 0.0
-          ? baseline.seconds_per_sweep / (seconds / iterations)
+          ? workload.serial_seconds / (seconds / iterations)
           : 0.0;
 }
+
+void BM_Fig12SweepWallClock(benchmark::State& state) {
+  static const SweepWorkload* workload = [] {
+    std::vector<EstimatorConfig> configs(4);
+    configs[0].kind = EstimatorKind::kEquiWidth;
+    configs[1].kind = EstimatorKind::kKernel;
+    configs[1].smoothing = SmoothingRule::kDirectPlugIn;
+    configs[1].boundary = BoundaryPolicy::kBoundaryKernel;
+    configs[2].kind = EstimatorKind::kHybrid;
+    configs[2].boundary = BoundaryPolicy::kBoundaryKernel;
+    configs[3].kind = EstimatorKind::kAverageShifted;
+    configs[3].ash_shifts = 10;
+    return MakeSweepWorkload("n(20)", std::move(configs));
+  }();
+  SweepWallClock(state, *workload);
+}
 BENCHMARK(BM_Fig12SweepWallClock)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_PaperSweepWallClock(benchmark::State& state) {
+  static const SweepWorkload* workload = [] {
+    const auto make = [](EstimatorKind kind, SmoothingRule rule) {
+      EstimatorConfig config;
+      config.kind = kind;
+      config.smoothing = rule;
+      config.boundary = BoundaryPolicy::kBoundaryKernel;
+      config.ash_shifts = 10;
+      return config;
+    };
+    const SmoothingRule ns = SmoothingRule::kNormalScale;
+    const SmoothingRule dpi = SmoothingRule::kDirectPlugIn;
+    return MakeSweepWorkload(
+        "rr2(22)",
+        {make(EstimatorKind::kSampling, ns), make(EstimatorKind::kUniform, ns),
+         make(EstimatorKind::kEquiWidth, ns),
+         make(EstimatorKind::kEquiDepth, ns), make(EstimatorKind::kMaxDiff, ns),
+         make(EstimatorKind::kAverageShifted, ns),
+         make(EstimatorKind::kKernel, ns), make(EstimatorKind::kHybrid, ns),
+         make(EstimatorKind::kVOptimal, ns),
+         make(EstimatorKind::kAdaptiveKernel, ns),
+         make(EstimatorKind::kWavelet, ns),
+         make(EstimatorKind::kEquiWidth, dpi),
+         make(EstimatorKind::kKernel, dpi)});
+  }();
+  SweepWallClock(state, *workload);
+}
+BENCHMARK(BM_PaperSweepWallClock)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

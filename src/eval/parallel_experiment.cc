@@ -1,7 +1,8 @@
 #include "src/eval/parallel_experiment.h"
 
+#include <algorithm>
 #include <memory>
-#include <optional>
+#include <numeric>
 #include <utility>
 
 #include "src/exec/parallel_for.h"
@@ -28,6 +29,24 @@ ThreadPool* ResolvePool(const ParallelExecOptions& options,
 // so each estimator answers it in one batch.
 size_t NumChunks(const ThreadPool* pool) {
   return pool == nullptr ? 1 : pool->num_threads() * kChunksPerThread;
+}
+
+// A config's expected build cost as a static class, never a timing:
+// h-DPI's O(n²) ψ̂ pair sum, then v-optimal's O(c²·B) program, the hybrid,
+// the kernel estimators, and the rest (well under a millisecond each).
+int BuildCostClass(const EstimatorConfig& config) {
+  if (config.smoothing == SmoothingRule::kDirectPlugIn) return 4;
+  switch (config.kind) {
+    case EstimatorKind::kVOptimal:
+      return 3;
+    case EstimatorKind::kHybrid:
+      return 2;
+    case EstimatorKind::kKernel:
+    case EstimatorKind::kAdaptiveKernel:
+      return 1;
+    default:
+      return 0;
+  }
 }
 
 // One query chunk [begin, end) of a batch estimate, on the calling thread.
@@ -73,71 +92,45 @@ std::vector<StatusOr<ErrorReport>> RunConfigsParallel(
     const ExperimentSetup& setup, std::span<const EstimatorConfig> configs,
     const ParallelExecOptions& options) {
   SELEST_CHECK(setup.data != nullptr);
-  std::vector<StatusOr<ErrorReport>> results;
-  results.reserve(configs.size());
-
   const GroundTruth truth(*setup.data);
   std::unique_ptr<ThreadPool> owned;
   ThreadPool* pool = ResolvePool(options, owned);
-  const size_t num_chunks = NumChunks(pool);
   const std::span<const RangeQuery> queries(setup.queries);
 
-  // Phase 1 — shared inputs, each parallel on its own axis: the exact
-  // counts (identical for every config, so computed once) over query
-  // chunks, then the estimator builds over configs.
+  // Phase 1 — the exact counts, shared by every config, over query chunks.
   std::vector<size_t> exact_counts(queries.size());
-  ParallelFor(pool, queries.size(), num_chunks,
+  ParallelFor(pool, queries.size(), NumChunks(pool),
               [&](size_t begin, size_t end, size_t /*chunk*/) {
                 for (size_t i = begin; i < end; ++i) {
                   exact_counts[i] = truth.Count(queries[i]);
                 }
               });
 
-  using BuildResult = StatusOr<std::unique_ptr<SelectivityEstimator>>;
-  std::vector<std::optional<BuildResult>> built(configs.size());
-  ParallelFor(pool, configs.size(), configs.size(),
+  // Phase 2 — one task per config, costliest build first (the caller takes
+  // it). A task builds, answers every query in one batch, reduces into its
+  // config's own slot and frees the estimator.
+  std::vector<size_t> order(configs.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return BuildCostClass(configs[a]) > BuildCostClass(configs[b]);
+  });
+  std::vector<StatusOr<ErrorReport>> results(configs.size(), ErrorReport{});
+  ParallelFor(pool, order.size(), order.size(),
               [&](size_t begin, size_t end, size_t /*chunk*/) {
-                for (size_t c = begin; c < end; ++c) {
-                  built[c].emplace(
-                      BuildEstimator(setup.sample, setup.domain(), configs[c]));
+                for (size_t k = begin; k < end; ++k) {
+                  const size_t c = order[k];
+                  auto built = BuildEstimator(setup.sample, setup.domain(),
+                                              configs[c]);
+                  if (!built.ok()) {
+                    results[c] = built.status();
+                    continue;
+                  }
+                  std::vector<double> estimates(queries.size());
+                  built.value()->EstimateSelectivityBatch(queries, estimates);
+                  results[c] = AccumulateReport(exact_counts, estimates,
+                                                truth.num_records());
                 }
               });
-
-  // Phase 2 — the (config × query chunk) fan-out. Each task fills its own
-  // slice of its config's estimate array; no two tasks share output slots.
-  struct EstimationTask {
-    size_t config;
-    size_t begin;
-    size_t end;
-  };
-  const auto query_chunks = SplitRange(queries.size(), num_chunks);
-  std::vector<EstimationTask> tasks;
-  std::vector<std::vector<double>> estimates(configs.size());
-  for (size_t c = 0; c < configs.size(); ++c) {
-    if (!built[c]->ok()) continue;
-    estimates[c].resize(queries.size());
-    for (const auto& [begin, end] : query_chunks) {
-      tasks.push_back({c, begin, end});
-    }
-  }
-  ParallelFor(pool, tasks.size(), tasks.size(),
-              [&](size_t begin, size_t end, size_t /*chunk*/) {
-                for (size_t t = begin; t < end; ++t) {
-                  const EstimationTask& task = tasks[t];
-                  EstimateChunk(*built[task.config]->value(), queries,
-                                estimates[task.config], task.begin, task.end);
-                }
-              });
-
-  // Phase 3 — fixed-order reduction, serial and in config order.
-  for (size_t c = 0; c < configs.size(); ++c) {
-    if (!built[c]->ok()) {
-      results.push_back(built[c]->status());
-      continue;
-    }
-    results.push_back(
-        AccumulateReport(exact_counts, estimates[c], truth.num_records()));
-  }
   return results;
 }
 

@@ -2,16 +2,17 @@
 //
 // The paper's evaluation (§5) is an embarrassingly parallel sweep:
 // thousands of range queries scored against many estimator configurations
-// per data file. This runner fans that sweep out across (estimator config ×
-// query chunk) tasks on a shared thread pool. It is the only layer that
-// fans work out: each task's EstimateSelectivityBatch runs on the thread
-// that runs the task, and `threads = 1` runs the same phases serially.
-// The determinism contract:
+// per data file. This runner fans that sweep out on a shared thread pool:
+// the exact counts over query chunks, then one task per estimator config,
+// longest expected build first. It is the only layer that fans work out:
+// each task's EstimateSelectivityBatch runs on the thread that runs the
+// task, and `threads = 1` runs the same phases serially. The determinism
+// contract:
 //
 //   * per-query quantities (exact count, estimated selectivity) are
 //     computed independently, each exactly as the serial path computes it;
-//   * every floating-point reduction happens after the fan-out in a fixed
-//     serial order (AccumulateReport, in query order).
+//   * every floating-point reduction runs once, on one thread, in query
+//     order, after every answer it reduces exists (AccumulateReport).
 //
 // Reports are therefore bit-identical to the per-query serial reference
 // (Evaluate in eval/metrics.h) at any thread count. See DESIGN.md,
@@ -55,10 +56,11 @@ void EstimateParallel(const SelectivityEstimator& estimator,
                       std::span<const RangeQuery> queries,
                       std::span<double> out);
 
-// Runs a whole sweep: exact counts are computed once, estimators are built
-// in parallel across configs, and estimation fans out over every
-// (config, query chunk) pair. Results are returned in config order and are
-// bit-identical to calling RunConfig on each config serially.
+// Runs a whole sweep: exact counts once, then one task per config that
+// builds it, answers every query in one batch and reduces the answers.
+// Tasks start costliest expected build first (h-DPI, v-optimal, hybrid,
+// the kernel estimators, then caller order). Results are returned in
+// config order, bit-identical to calling RunConfig on each config serially.
 std::vector<StatusOr<ErrorReport>> RunConfigsParallel(
     const ExperimentSetup& setup, std::span<const EstimatorConfig> configs,
     const ParallelExecOptions& options = {});

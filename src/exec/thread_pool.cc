@@ -66,7 +66,7 @@ ThreadPool& ThreadPool::Default() {
 size_t ThreadPool::DefaultThreadCount() {
   if (const char* env = std::getenv("SELEST_THREADS")) {
     const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) return static_cast<size_t>(parsed);
+    if (parsed > 0) return std::min(static_cast<size_t>(parsed), kMaxThreads);
   }
   return std::max(1u, std::thread::hardware_concurrency());
 }

@@ -51,9 +51,11 @@ class ThreadPool {
   // workers. Never destroyed before exit.
   static ThreadPool& Default();
 
-  // SELEST_THREADS environment override if set and positive, otherwise
+  // SELEST_THREADS environment override if set and positive, capped at
+  // kMaxThreads so a typo cannot start thousands of workers; otherwise
   // std::thread::hardware_concurrency() (at least 1).
   static size_t DefaultThreadCount();
+  static constexpr size_t kMaxThreads = 256;
 
  private:
   void WorkerLoop();

@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/data/distribution.h"
@@ -55,7 +58,35 @@ std::vector<EstimatorConfig> SweepConfigs() {
   EstimatorConfig ash;
   ash.kind = EstimatorKind::kAverageShifted;
   configs.push_back(ash);
+  // The costliest builds come last, so the sweep's longest-first schedule
+  // differs from caller order.
+  EstimatorConfig ewh_dpi = ewh;
+  ewh_dpi.smoothing = SmoothingRule::kDirectPlugIn;
+  configs.push_back(ewh_dpi);
+  EstimatorConfig kernel_dpi = kernel;
+  kernel_dpi.smoothing = SmoothingRule::kDirectPlugIn;
+  configs.push_back(kernel_dpi);
+  EstimatorConfig v_optimal;
+  v_optimal.kind = EstimatorKind::kVOptimal;
+  configs.push_back(v_optimal);
   return configs;
+}
+
+// The per-query serial reference, at caller index: BuildEstimator, then
+// Evaluate with one EstimateSelectivity call per query.
+std::vector<StatusOr<ErrorReport>> PerQueryReference(
+    const ExperimentSetup& setup, const std::vector<EstimatorConfig>& configs) {
+  const GroundTruth truth(*setup.data);
+  std::vector<StatusOr<ErrorReport>> reference;
+  for (const EstimatorConfig& config : configs) {
+    auto estimator = BuildEstimator(setup.sample, setup.domain(), config);
+    if (!estimator.ok()) {
+      reference.push_back(estimator.status());
+      continue;
+    }
+    reference.push_back(Evaluate(*estimator.value(), setup.queries, truth));
+  }
+  return reference;
 }
 
 TEST(ExecParallelTest, ReportsBitIdenticalAcrossThreadCounts) {
@@ -66,15 +97,10 @@ TEST(ExecParallelTest, ReportsBitIdenticalAcrossThreadCounts) {
   const ExperimentSetup setup = MakeSetup(data, protocol);
   const auto configs = SweepConfigs();
 
-  // The per-query serial reference: every thread count, threads = 1
-  // included, runs the sweep's shared phases and must reproduce it.
-  const GroundTruth truth(data);
-  std::vector<ErrorReport> baseline;
-  for (const EstimatorConfig& config : configs) {
-    auto estimator = BuildEstimator(setup.sample, setup.domain(), config);
-    ASSERT_TRUE(estimator.ok());
-    baseline.push_back(Evaluate(*estimator.value(), setup.queries, truth));
-  }
+  // Every thread count, threads = 1 included, runs the sweep's shared
+  // phases and must reproduce the per-query reference.
+  const auto baseline = PerQueryReference(setup, configs);
+  for (const auto& report : baseline) ASSERT_TRUE(report.ok());
 
   for (size_t threads : {1u, 2u, 8u}) {
     ParallelExecOptions options;
@@ -83,7 +109,7 @@ TEST(ExecParallelTest, ReportsBitIdenticalAcrossThreadCounts) {
     ASSERT_EQ(reports.size(), configs.size());
     for (size_t c = 0; c < configs.size(); ++c) {
       ASSERT_TRUE(reports[c].ok()) << "threads=" << threads;
-      ExpectBitIdentical(baseline[c], *reports[c]);
+      ExpectBitIdentical(*baseline[c], *reports[c]);
     }
   }
 }
@@ -115,22 +141,45 @@ TEST(ExecParallelTest, SweepPropagatesPerConfigBuildFailures) {
   protocol.num_queries = 50;
   const ExperimentSetup setup = MakeSetup(data, protocol);
 
+  // The failing config sits between the two h-DPI configs, which the
+  // sweep runs first; every status must still land at its caller index.
   std::vector<EstimatorConfig> configs;
   EstimatorConfig good;
   good.kind = EstimatorKind::kEquiWidth;
   configs.push_back(good);
+  EstimatorConfig ewh_dpi = good;
+  ewh_dpi.smoothing = SmoothingRule::kDirectPlugIn;
+  configs.push_back(ewh_dpi);
   EstimatorConfig bad;  // negative fixed bandwidth cannot build
   bad.kind = EstimatorKind::kKernel;
   bad.smoothing = SmoothingRule::kFixed;
   bad.fixed_smoothing = -1.0;
   configs.push_back(bad);
+  EstimatorConfig kernel_dpi;
+  kernel_dpi.kind = EstimatorKind::kKernel;
+  kernel_dpi.smoothing = SmoothingRule::kDirectPlugIn;
+  configs.push_back(kernel_dpi);
 
-  ParallelExecOptions options;
-  options.threads = 2;
-  const auto reports = RunConfigsParallel(setup, configs, options);
-  ASSERT_EQ(reports.size(), 2u);
-  EXPECT_TRUE(reports[0].ok());
-  EXPECT_FALSE(reports[1].ok());
+  const auto reference = PerQueryReference(setup, configs);
+  ASSERT_FALSE(reference[2].ok());
+  for (size_t threads : {1u, 2u, 8u}) {
+    ParallelExecOptions options;
+    options.threads = threads;
+    const auto reports = RunConfigsParallel(setup, configs, options);
+    ASSERT_EQ(reports.size(), configs.size());
+    for (size_t c = 0; c < configs.size(); ++c) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " config=" + std::to_string(c));
+      ASSERT_EQ(reports[c].ok(), c != 2);
+      if (reports[c].ok()) {
+        ExpectBitIdentical(*reference[c], *reports[c]);
+      } else {
+        EXPECT_EQ(reports[c].status().code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(reports[c].status().ToString(),
+                  reference[c].status().ToString());
+      }
+    }
+  }
 }
 
 TEST(SplitRangeTest, HandlesDegenerateChunkCounts) {
@@ -273,6 +322,28 @@ TEST(ThreadPoolTest, ScheduleSurvivesThrowingTasks) {
 TEST(ThreadPoolTest, DefaultThreadCountIsPositive) {
   EXPECT_GE(ThreadPool::DefaultThreadCount(), 1u);
   EXPECT_GE(ThreadPool::Default().num_threads(), 1u);
+}
+
+TEST(ThreadPoolTest, DefaultThreadCountCapsTheOverride) {
+  // Reads DefaultThreadCount() only and creates no pool, so the oversized
+  // value never starts a thread.
+  const char* env = std::getenv("SELEST_THREADS");
+  const bool was_set = env != nullptr;
+  const std::string saved = was_set ? env : "";
+  const size_t fallback = std::max(1u, std::thread::hardware_concurrency());
+
+  setenv("SELEST_THREADS", "100000", /*overwrite=*/1);
+  EXPECT_EQ(ThreadPool::DefaultThreadCount(), ThreadPool::kMaxThreads);
+  setenv("SELEST_THREADS", "64", 1);
+  EXPECT_EQ(ThreadPool::DefaultThreadCount(), 64u);
+  setenv("SELEST_THREADS", "abc", 1);
+  EXPECT_EQ(ThreadPool::DefaultThreadCount(), fallback);
+
+  if (was_set) {
+    setenv("SELEST_THREADS", saved.c_str(), 1);
+  } else {
+    unsetenv("SELEST_THREADS");
+  }
 }
 
 }  // namespace

@@ -11,9 +11,11 @@ For every benchmark present in both files it reports the per-iteration
 time ratio new/old, and exits non-zero when any benchmark slowed down by
 more than the threshold (default 10%, override with --threshold-pct).
 
-Rows are keyed by `run_name`, so a file recorded with
---benchmark_repetitions=N compares as one benchmark per run: its `median`
-aggregate row when the file has one (with or without
+Rows are keyed by `run_name`, less the `min_time:` component that
+google-benchmark appends when a row sets its own minimum time (so such a
+row still diffs against its recordings at the default). A file recorded
+with --benchmark_repetitions=N compares as one benchmark per run: its
+`median` aggregate row when the file has one (with or without
 --benchmark_report_aggregates_only), otherwise its raw row (the middle one
 by time if a file holds several raw rows and no median). One run of a
 benchmark moves by more than 10% on a busy host; the median of five does
@@ -69,7 +71,10 @@ def load_benchmarks(path):
     medians = {}
     errors = {}
     for entry in doc.get("benchmarks", []):
-        key = entry.get("run_name", entry["name"])
+        name = entry.get("run_name", entry["name"])
+        key = "/".join(
+            part for part in name.split("/") if not part.startswith("min_time:")
+        )
         if entry.get("error_occurred"):
             errors[key] = entry.get("error_message", "")
         elif entry.get("run_type") != "aggregate":
