@@ -7,8 +7,12 @@
 // piecewise cubic, so a query costs two O(log n) lookups whatever the k
 // fringe samples (BM_KernelIndexed, BM_KernelBoundaryKernels,
 // BM_AdaptiveKernel, BM_Hybrid); Algorithm 1 is the Θ(n) literal
-// transcription. Histograms cost O(log k): two edge searches over the
-// cumulative bin masses, however many bins the query covers.
+// transcription. Histograms answer from two edge searches over the
+// cumulative bin masses, however many bins the query covers
+// (BM_EquiWidthHistogram, BM_EquiDepthHistogram), and ASH from one such
+// table over the union of its shifted edges (BM_AverageShiftedHistogram).
+// Every table's searches go through a cell directory (util/
+// cell_directory.h): O(1) where its keys spread evenly, O(log n) at worst.
 //
 // BM_PsiFunctional times the O(n²) ψ̂ pair sum behind the h-DPI rules on
 // each SIMD tier against the per-pair loop it replaced.
@@ -36,6 +40,8 @@
 
 #include "src/data/domain.h"
 #include "src/est/adaptive_kernel_estimator.h"
+#include "src/est/average_shifted_histogram.h"
+#include "src/est/equi_depth_histogram.h"
 #include "src/est/equi_width_histogram.h"
 #include "src/est/estimator_factory.h"
 #include "src/est/guarded_estimator.h"
@@ -151,6 +157,33 @@ void BM_EquiWidthHistogram(benchmark::State& state) {
 }
 BENCHMARK(BM_EquiWidthHistogram)->Range(8, 8 << 10);
 
+// The average shifted histogram as the paper's final comparison runs it (ten
+// shifts at the h-NS bin count), and the equi-depth histogram at the h-NS
+// bin count, on the standard 2,000-record sample.
+void BM_AverageShiftedHistogram(benchmark::State& state) {
+  const auto sample = MakeSample(static_cast<size_t>(state.range(0)));
+  auto est = AverageShiftedHistogram::Create(
+      sample, kDomain, NormalScaleNumBins(sample, kDomain), 10);
+  Rng rng(9);
+  for (auto _ : state) {
+    const RangeQuery q = NextQuery(rng);
+    benchmark::DoNotOptimize(est->EstimateSelectivity(q.a, q.b));
+  }
+}
+BENCHMARK(BM_AverageShiftedHistogram)->Arg(2000);
+
+void BM_EquiDepthHistogram(benchmark::State& state) {
+  const auto sample = MakeSample(static_cast<size_t>(state.range(0)));
+  auto est = EquiDepthHistogram::Create(sample, kDomain,
+                                        NormalScaleNumBins(sample, kDomain));
+  Rng rng(10);
+  for (auto _ : state) {
+    const RangeQuery q = NextQuery(rng);
+    benchmark::DoNotOptimize(est->EstimateSelectivity(q.a, q.b));
+  }
+}
+BENCHMARK(BM_EquiDepthHistogram)->Arg(2000);
+
 // --- Guarded-vs-raw overhead on the kernel hot path ---
 //
 // Per healthy query the guard adds one relaxed counter increment, two NaN
@@ -158,8 +191,10 @@ BENCHMARK(BM_EquiWidthHistogram)->Range(8, 8 << 10);
 // robustness budget is <5% on the kernel hot path; `guard_overhead_pct`
 // records the measured figure (raw and guarded timed back to back on the
 // same pre-generated query stream each iteration). The guard's cost is
-// fixed per query, so against the two-lookup kernel read it measures
-// 9–14%, over that budget (ROADMAP item 9).
+// fixed per query, so the faster the read the larger its share: 9–15%
+// against the kernel read when it searched the whole table, 23–32% now
+// that a cell directory narrows the search, over that budget (ROADMAP
+// item 6).
 void BM_KernelGuardedOverhead(benchmark::State& state) {
   const auto sample = MakeSample(static_cast<size_t>(state.range(0)));
   KernelEstimatorOptions options;

@@ -36,6 +36,7 @@ EpanechnikovCdfTable::EpanechnikovCdfTable(std::span<const double> sorted,
   }
   const double inverse[1] = {1.0 / bandwidth};
   Sweep(sorted, inverse, enters, leaves);
+  directory_ = CellDirectory(starts_);
 }
 
 EpanechnikovCdfTable::EpanechnikovCdfTable(
@@ -58,6 +59,7 @@ EpanechnikovCdfTable::EpanechnikovCdfTable(
   std::stable_sort(enters.begin(), enters.end(), by_position);
   std::stable_sort(leaves.begin(), leaves.end(), by_position);
   Sweep(samples, inverse, enters, leaves);
+  directory_ = CellDirectory(starts_);
 }
 
 void EpanechnikovCdfTable::Sweep(std::span<const double> samples,

@@ -6,11 +6,15 @@
 //
 // so G is a piecewise cubic with breakpoints x_i ± h_i. The table keeps
 // each piece's four cubic coefficients in the piece's own local coordinate
-// s = t − start, and G(t) is one branch-free search over the starts plus
-// one Horner step: O(log n), however many samples lie near t. Its
-// derivative G′ is the Epanechnikov density sum, read the same way: the
-// boundary strips, the adaptive pilot and the hybrid's change-point pilot
-// evaluate their densities from it.
+// s = t − start, and G(t) is one search over the starts plus one Horner
+// step, however many samples lie near t. The search goes through a cell
+// directory over the starts (util/cell_directory.h): one multiply picks
+// the cell, and a branch-free search over its few starts returns exactly
+// the piece a search over all starts would, so a read costs O(1) where the
+// starts spread evenly and O(log n) at worst. Its derivative G′ is the
+// Epanechnikov density sum, read the same way: the boundary strips, the
+// adaptive pilot and the hybrid's change-point pilot evaluate their
+// densities from it.
 //
 // One sweep over the sorted enter (x_i − h_i) and leave (x_i + h_i) events
 // fills it: the running cubic is Taylor-shifted from start to start, an
@@ -31,7 +35,7 @@
 #include <span>
 #include <vector>
 
-#include "src/util/simd.h"
+#include "src/util/cell_directory.h"
 
 namespace selest {
 
@@ -52,8 +56,7 @@ class EpanechnikovCdfTable {
   // G(t): 0 left of every support, the sample count right of every support.
   // Requires a non-empty table and a finite t.
   double MassBelow(double t) const {
-    const size_t above =
-        BranchFreeUpperBound(starts_.data(), starts_.size(), t);
+    const size_t above = directory_.UpperBound(starts_.data(), t);
     // Left of the first start, piece 0 at s = 0 holds G = 0.
     const size_t piece = above - static_cast<size_t>(above != 0);
     const double s = std::max(t - starts_[piece], 0.0);
@@ -67,8 +70,7 @@ class EpanechnikovCdfTable {
   // at an emptied window zeroes c1..c3). Requires a non-empty table and a
   // finite t.
   double Derivative(double t) const {
-    const size_t above =
-        BranchFreeUpperBound(starts_.data(), starts_.size(), t);
+    const size_t above = directory_.UpperBound(starts_.data(), t);
     if (above == 0) return 0.0;  // left of every support
     const double s = t - starts_[above - 1];
     const double* c = coefficients_.data() + 4 * (above - 1);
@@ -95,6 +97,7 @@ class EpanechnikovCdfTable {
 
   std::vector<double> starts_;        // ascending, one per piece
   std::vector<double> coefficients_;  // c0..c3 of piece i at [4i, 4i + 4)
+  CellDirectory directory_;           // over starts_, derived after Sweep
 };
 
 }  // namespace selest

@@ -10,26 +10,43 @@
 
 namespace selest {
 
-StatusOr<BinnedDensity> BinnedDensity::Create(std::vector<double> edges,
-                                              std::vector<double> counts,
-                                              double total_count) {
+Status BinnedDensity::Validate(std::span<const double> edges,
+                               std::span<const double> counts,
+                               double total_count) {
   if (edges.size() < 2) {
     return InvalidArgumentError("histogram needs at least two edges");
   }
   if (counts.size() + 1 != edges.size()) {
     return InvalidArgumentError("counts must have edges.size()-1 entries");
   }
-  if (!(total_count > 0.0)) {
-    return InvalidArgumentError("total_count must be positive");
+  if (!(total_count > 0.0) || !std::isfinite(total_count)) {
+    return InvalidArgumentError("total_count must be positive and finite");
   }
+  // Written so a NaN fails every test. A finite span keeps every bin width
+  // and every in-range offset x − c_i finite.
   for (size_t i = 0; i + 1 < edges.size(); ++i) {
-    if (edges[i] > edges[i + 1]) {
+    if (!(edges[i] <= edges[i + 1])) {
       return InvalidArgumentError("edges must be non-decreasing");
     }
   }
-  for (double c : counts) {
-    if (c < 0.0) return InvalidArgumentError("counts must be non-negative");
+  if (!std::isfinite(edges.back() - edges.front())) {
+    return InvalidArgumentError("edges must be finite with a finite span");
   }
+  double mass = 0.0;
+  for (double c : counts) {
+    if (!(c >= 0.0)) return InvalidArgumentError("counts must be non-negative");
+    mass += c;
+  }
+  if (!std::isfinite(mass)) {
+    return InvalidArgumentError("counts must have a finite sum");
+  }
+  return Status::Ok();
+}
+
+StatusOr<BinnedDensity> BinnedDensity::Create(std::vector<double> edges,
+                                              std::vector<double> counts,
+                                              double total_count) {
+  SELEST_RETURN_IF_ERROR(Validate(edges, counts, total_count));
   return BinnedDensity(std::move(edges), std::move(counts), total_count);
 }
 
@@ -38,6 +55,7 @@ BinnedDensity::BinnedDensity(std::vector<double> edges,
     : edges_(std::move(edges)),
       counts_(std::move(counts)),
       cumulative_(edges_.size(), 0.0),
+      directory_(edges_),
       total_count_(total_count) {
   std::partial_sum(counts_.begin(), counts_.end(), cumulative_.begin() + 1);
 }
@@ -99,11 +117,10 @@ double BinnedDensity::CumulativeAt(size_t pos, double x) const {
 
 double BinnedDensity::Selectivity(double a, double b) const {
   if (!(a <= b)) return 0.0;  // inverted range or a NaN bound
-  const size_t num_edges = edges_.size();
   const double at_or_below_b =
-      CumulativeAt(BranchFreeUpperBound(edges_.data(), num_edges, b), b);
+      CumulativeAt(directory_.UpperBound(edges_.data(), b), b);
   const double below_a =
-      CumulativeAt(BranchFreeLowerBound(edges_.data(), num_edges, a), a);
+      CumulativeAt(directory_.LowerBound(edges_.data(), a), a);
   return std::clamp((at_or_below_b - below_a) / total_count_, 0.0, 1.0);
 }
 
@@ -133,8 +150,7 @@ BinnedDensity BinnedDensity::FoldedWith(std::span<const double> values) const {
 }
 
 double BinnedDensity::MassBelow(double x) const {
-  return CumulativeAt(BranchFreeUpperBound(edges_.data(), edges_.size(), x),
-                      x);
+  return CumulativeAt(directory_.UpperBound(edges_.data(), x), x);
 }
 
 }  // namespace selest

@@ -14,10 +14,14 @@
 //   C⁻(x) = mass strictly below x (atoms at x excluded),
 //   σ̂_H(a, b) = clamp((C⁺(b) − C⁻(a)) / n, 0, 1).
 //
-// Both find the bin holding x with one branch-free edge search (upper bound
-// for C⁺, lower bound for C⁻) and return cum_i + n_i·((x − c_i)/h_i), where
-// cum_i is the mass of the bins before bin i; they are 0 below the first
-// edge and the total mass above the last. A bound on an edge lands exactly
+// Both find the bin holding x with one edge search (upper bound for C⁺,
+// lower bound for C⁻) and return cum_i + n_i·((x − c_i)/h_i), where cum_i is
+// the mass of the bins before bin i; they are 0 below the first edge and the
+// total mass above the last. The search goes through a cell directory over
+// the edges (util/cell_directory.h): one multiply picks the cell, and a
+// branch-free search over that cell's few edges returns exactly the index
+// a search over all edges would. So a read costs O(1) for evenly spread
+// edges and O(log k) at worst. A bound on an edge lands exactly
 // on cum, so a bin-aligned query over integer counts answers count/n
 // exactly, and σ̂_H never decreases as the range grows. An inverted range
 // or a NaN bound answers 0. DESIGN.md §12 records how this form replaced
@@ -32,6 +36,7 @@
 #include <span>
 #include <vector>
 
+#include "src/util/cell_directory.h"
 #include "src/util/status.h"
 
 namespace selest {
@@ -42,13 +47,19 @@ namespace selest {
 // whenever the query covers the bin's position.
 class BinnedDensity {
  public:
-  // `edges` must be non-decreasing with at least two entries;
-  // `counts` must have edges.size()−1 entries. `total_count` is the sample
-  // size n used for normalization (usually the sum of counts, but the
-  // average shifted histogram normalizes shifted copies differently).
+  // `edges` must be finite, non-decreasing, at least two, with a finite
+  // span; `counts` must have edges.size()−1 finite, non-negative entries
+  // with a finite sum. `total_count` is the sample size n used for
+  // normalization (usually the sum of counts), finite and positive.
+  // Anything else, NaN included, is kInvalidArgument.
   static StatusOr<BinnedDensity> Create(std::vector<double> edges,
                                         std::vector<double> counts,
                                         double total_count);
+
+  // The checks Create makes, without building anything (for callers that
+  // keep a histogram's parts, such as the average shifted histogram).
+  static Status Validate(std::span<const double> edges,
+                         std::span<const double> counts, double total_count);
 
   // Convenience: buckets `sample` into the bins defined by `edges` (values
   // outside the edge range are clamped into the first/last bin) and
@@ -89,7 +100,8 @@ class BinnedDensity {
   double MassBelow(double x) const;
 
  private:
-  // Derives the cumulative masses from `counts`.
+  // Derives the cumulative masses from `counts` and the directory from
+  // `edges`.
   BinnedDensity(std::vector<double> edges, std::vector<double> counts,
                 double total_count);
 
@@ -102,6 +114,7 @@ class BinnedDensity {
   // cumulative_[i] = counts_[0] + … + counts_[i−1], summed left to right;
   // one entry per edge.
   std::vector<double> cumulative_;
+  CellDirectory directory_;  // over edges_
   double total_count_;
 };
 

@@ -117,13 +117,19 @@ StatusOr<std::vector<double>> ByteReader::ReadDoubleVector() {
                            " doubles exceeds the " +
                            std::to_string(remaining()) + " bytes remaining");
   }
-  std::vector<double> values;
-  values.reserve(count.value());
-  for (uint64_t i = 0; i < count.value(); ++i) {
-    auto v = ReadDouble();
-    if (!v.ok()) return v.status();
-    values.push_back(v.value());
+  // That check covers the whole run, so each double decodes straight from
+  // its eight little-endian bytes, as ReadDouble would, with no per-value
+  // Status: snapshot loads are mostly these runs.
+  std::vector<double> values(count.value());
+  const uint8_t* in = bytes_.data() + position_;
+  for (double& value : values) {
+    uint64_t bits = 0;
+    for (int shift = 0; shift < 64; shift += 8) {
+      bits |= static_cast<uint64_t>(*in++) << shift;
+    }
+    std::memcpy(&value, &bits, sizeof(value));
   }
+  position_ += values.size() * sizeof(double);
   return values;
 }
 

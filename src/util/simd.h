@@ -73,7 +73,9 @@ using AlignedDoubles = AlignedVector<double>;
 // ---------------------------------------------------------------------------
 //
 // Replaces the std::lower_bound/std::upper_bound chains on the indexed
-// kernel, sampling, and histogram paths. Each round probes the three
+// kernel, sampling, and histogram paths; over the immutable cumulative
+// tables a CellDirectory (util/cell_directory.h) first narrows the window
+// to one cell's keys. Each round probes the three
 // quarter pivots of the window with independent (ILP-friendly)
 // comparisons; over a sorted array the predicates are monotone, so the
 // count of true ones times the quarter advances the base straight to the

@@ -4,7 +4,9 @@
 // snapshot file by replaying its log, then repair the file. Runs under
 // both sanitizer presets via the `robustness` and `catalog` labels.
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -155,6 +157,52 @@ TEST(CorruptSnapshotTest, EveryEstimatorKindSurvivesPayloadFlips) {
       if (result.ok()) {
         (void)result.value()->EstimateSelectivity(0.25, 0.75);
       }
+    }
+  }
+}
+
+// Overwrites the first payload occurrence of `from` with `to` and
+// re-wraps the payload under a fresh, valid CRC.
+std::vector<uint8_t> ReplaceDoubleUnderValidCrc(
+    const std::vector<uint8_t>& bytes, double from, double to) {
+  auto view = UnwrapSnapshot(bytes);
+  EXPECT_TRUE(view.ok());
+  std::vector<uint8_t> payload = view->payload;
+  uint8_t pattern[sizeof(double)];
+  std::memcpy(pattern, &from, sizeof(double));
+  const auto at = std::search(payload.begin(), payload.end(), pattern,
+                              pattern + sizeof(double));
+  EXPECT_NE(at, payload.end());
+  if (at != payload.end()) std::memcpy(&*at, &to, sizeof(double));
+  return WrapSnapshot(view->type_tag, payload);
+}
+
+TEST(CorruptSnapshotTest, NonFiniteHistogramValuesUnderAValidCrcAreRejected) {
+  // A CRC-valid payload with a NaN or infinite edge or count used to load
+  // and then answer NaN; the histogram validators now reject it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Domain domain = BitDomain(12);
+  const std::vector<double> sample = MakeSample(256, domain, 3);
+  for (EstimatorKind kind :
+       {EstimatorKind::kEquiWidth, EstimatorKind::kAverageShifted}) {
+    EstimatorConfig config;
+    config.kind = kind;
+    config.smoothing = SmoothingRule::kFixed;
+    config.fixed_smoothing = 8;
+    auto estimator = BuildEstimator(sample, domain, config);
+    ASSERT_TRUE(estimator.ok());
+    auto bytes = SnapshotEstimator(*estimator.value());
+    ASSERT_TRUE(bytes.ok());
+    ASSERT_TRUE(LoadEstimatorSnapshot(bytes.value()).ok());
+    // The second edge of the (unshifted) equi-width histogram.
+    const double edge = domain.lo + domain.width() / 8;
+    for (double damage : {nan, inf, -inf}) {
+      const std::vector<uint8_t> damaged =
+          ReplaceDoubleUnderValidCrc(bytes.value(), edge, damage);
+      EXPECT_EQ(LoadEstimatorSnapshot(damaged).status().code(),
+                StatusCode::kInvalidArgument)
+          << EstimatorKindName(kind) << " edge " << damage;
     }
   }
 }

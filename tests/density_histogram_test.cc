@@ -22,6 +22,41 @@ TEST(BinnedDensityTest, CreateValidatesInput) {
   EXPECT_TRUE(BinnedDensity::Create({0.0, 1.0}, {1.0}, 1.0).ok());
 }
 
+TEST(BinnedDensityTest, CreateRejectsNonFiniteInput) {
+  // Every one of these used to build a histogram that answered NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    std::vector<double> edges;
+    std::vector<double> counts;
+    double total;
+  };
+  const Case cases[] = {
+      {{0.0, nan, 2.0}, {1.0, 1.0}, 2.0},
+      {{nan, 1.0, 2.0}, {1.0, 1.0}, 2.0},
+      {{0.0, 1.0, nan}, {1.0, 1.0}, 2.0},
+      {{-inf, 1.0, 2.0}, {1.0, 1.0}, 2.0},
+      {{0.0, 1.0, inf}, {1.0, 1.0}, 2.0},
+      {{inf, inf}, {1.0}, 1.0},
+      {{-1e308, 1e308}, {1.0}, 1.0},  // finite edges, infinite width
+      {{0.0, 1.0, 2.0}, {nan, 1.0}, 2.0},
+      {{0.0, 1.0, 2.0}, {inf, 1.0}, 2.0},
+      {{0.0, 1.0, 2.0}, {1.0, -inf}, 2.0},
+      {{0.0, 1.0, 2.0}, {1e308, 1e308}, 2.0},  // the mass overflows
+      {{0.0, 1.0, 2.0}, {1.0, 1.0}, nan},
+      {{0.0, 1.0, 2.0}, {1.0, 1.0}, inf},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(BinnedDensity::Validate(c.edges, c.counts, c.total).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(BinnedDensity::Create(c.edges, c.counts, c.total).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  const std::vector<double> edges = {0.0, 1.0, 1.0};
+  const std::vector<double> counts = {1.0, 0.5};
+  EXPECT_TRUE(BinnedDensity::Validate(edges, counts, 1.5).ok());
+}
+
 TEST(BinnedDensityTest, DensityOfSingleBin) {
   auto bins = BinnedDensity::Create({0.0, 4.0}, {10.0}, 10.0);
   ASSERT_TRUE(bins.ok());
