@@ -186,15 +186,14 @@ BENCHMARK(BM_EquiDepthHistogram)->Arg(2000);
 
 // --- Guarded-vs-raw overhead on the kernel hot path ---
 //
-// Per healthy query the guard adds one relaxed counter increment, two NaN
-// tests, a domain clamp, and a finiteness check on the answer. The
-// robustness budget is <5% on the kernel hot path; `guard_overhead_pct`
-// records the measured figure (raw and guarded timed back to back on the
-// same pre-generated query stream each iteration). The guard's cost is
-// fixed per query, so the faster the read the larger its share: 9–15%
-// against the kernel read when it searched the whole table, 23–32% now
-// that a cell directory narrows the search, over that budget (ROADMAP
-// item 6).
+// Per healthy query the guard adds two NaN tests, an inversion test, two
+// domain clamps, a second virtual call, and range and finiteness checks
+// on the answer; it writes no counter. The robustness budget is <5% on
+// the kernel hot path; `guard_overhead_pct` records the measured figure
+// (raw and guarded timed back to back on the same pre-generated query
+// stream each iteration). The guard's cost is fixed per query, so the
+// shorter the read the larger its share: 19–21% of a kernel read that
+// searches through a cell directory, over that budget (ROADMAP item 6).
 void BM_KernelGuardedOverhead(benchmark::State& state) {
   const auto sample = MakeSample(static_cast<size_t>(state.range(0)));
   KernelEstimatorOptions options;
@@ -252,76 +251,13 @@ void BM_SamplingEstimator(benchmark::State& state) {
 }
 BENCHMARK(BM_SamplingEstimator)->Range(1 << 10, 1 << 20);
 
-// --- The SIMD batch paths (DESIGN.md §12) ---
-//
-// Each batch benchmark times EstimateSelectivityBatch under the scalar
-// tier and under one vector tier back to back on the same pre-generated
-// query stream. A batch runs on its calling thread by construction (only
-// the eval layer fans work out), so both sides are single-threaded,
-// SELEST_THREADS does not affect them, and `speedup_vs_scalar` isolates
-// the vector kernels. `bit_identical` re-asserts the exactness contract
-// on every iteration. An unsupported tier reports an error row
-// (SkipWithError), which tools/bench_diff.py counts as a failure: it
-// measured nothing, so diff artifacts recorded on hosts with the same
-// vector tiers. Only sampling has a vector kernel; histograms and the
-// kernel family answer a query with two cumulative-mass lookups and batch
-// through the base per-query loop, which BM_BatchEquiWidth times.
-
-SimdTier TierFromArg(int64_t arg) {
-  return arg == 2 ? SimdTier::kAvx512 : SimdTier::kAvx2;
-}
+// --- The batch read: one EstimateSelectivity call per query (DESIGN.md §7) ---
 
 std::vector<RangeQuery> BatchQueries(size_t num_queries) {
   Rng rng(9);
   std::vector<RangeQuery> queries(num_queries);
   for (RangeQuery& q : queries) q = NextQuery(rng);
   return queries;
-}
-
-void BatchTierSpeedup(benchmark::State& state, const SelectivityEstimator& est,
-                      size_t num_queries) {
-  const SimdTier tier = TierFromArg(state.range(0));
-  if (!SimdTierSupported(tier)) {
-    state.SkipWithError("simd tier not supported on this host");
-    return;
-  }
-  const std::vector<RangeQuery> queries = BatchQueries(num_queries);
-  std::vector<double> scalar_out(queries.size());
-  std::vector<double> vector_out(queries.size());
-
-  double scalar_seconds = 0.0;
-  double vector_seconds = 0.0;
-  bool identical = true;
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    {
-      ScopedSimdTier scoped(SimdTier::kScalar);
-      est.EstimateSelectivityBatch(queries, scalar_out);
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    {
-      ScopedSimdTier scoped(tier);
-      est.EstimateSelectivityBatch(queries, vector_out);
-    }
-    const auto t2 = std::chrono::steady_clock::now();
-    scalar_seconds += std::chrono::duration<double>(t1 - t0).count();
-    vector_seconds += std::chrono::duration<double>(t2 - t1).count();
-    for (size_t i = 0; i < queries.size(); ++i) {
-      // Exact comparison: the SIMD contract is bit-identity.
-      if (scalar_out[i] != vector_out[i]) identical = false;
-    }
-    benchmark::DoNotOptimize(vector_out.data());
-  }
-  if (!identical) {
-    state.SkipWithError("vector tier diverged from the scalar batch");
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(queries.size()));
-  state.counters["simd_width"] =
-      static_cast<double>(SimdOpsForTier(tier)->width);
-  state.counters["bit_identical"] = identical ? 1.0 : 0.0;
-  state.counters["speedup_vs_scalar"] =
-      vector_seconds > 0.0 ? scalar_seconds / vector_seconds : 0.0;
 }
 
 constexpr size_t kBatchSampleSize = 1 << 16;
@@ -331,9 +267,9 @@ constexpr size_t kBatchQueries = 4096;
 // (h-NS on small samples; 1% queries touch 1–2 bins), while 1024 bins makes
 // every query cover ~11 bins. The cumulative-mass lookup costs two edge
 // searches in both, so the gain over the seed's per-bin walk
-// (`speedup_vs_prepr`) grows with the bins a query covers. Histograms have
-// one batch path on every SIMD tier; `bit_identical` checks it against the
-// per-query answers on every iteration.
+// (`speedup_vs_prepr`) grows with the bins a query covers.
+// `bit_identical` checks the batch against the per-query answers on every
+// iteration.
 void BM_BatchEquiWidth(benchmark::State& state) {
   static auto* cache = new std::map<int64_t, const EquiWidthHistogram*>();
   const EquiWidthHistogram*& slot = (*cache)[state.range(0)];
@@ -410,15 +346,6 @@ BENCHMARK(BM_BatchEquiWidth)
     ->Arg(64)
     ->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
-
-void BM_BatchSampling(benchmark::State& state) {
-  static const auto* est = [] {
-    auto built = SamplingEstimator::Create(MakeSample(kBatchSampleSize));
-    return new SamplingEstimator(std::move(built).value());
-  }();
-  BatchTierSpeedup(state, *est, kBatchQueries);
-}
-BENCHMARK(BM_BatchSampling)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 // --- The ψ̂ pair sum behind h-DPI (DESIGN.md §2, §12) ---
 //

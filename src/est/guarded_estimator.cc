@@ -17,8 +17,6 @@ GuardedEstimator::GuardedEstimator(
 }
 
 double GuardedEstimator::EstimateSelectivity(double a, double b) const {
-  queries_.fetch_add(1, std::memory_order_relaxed);
-
   // Repair the query. A NaN bound carries no information; widening it to
   // the domain edge yields the safe over-estimate. ±Inf bounds are handled
   // by the domain clamp below.
@@ -78,7 +76,6 @@ std::string GuardedEstimator::name() const {
 
 GuardedStats GuardedEstimator::stats() const {
   GuardedStats stats;
-  stats.queries = queries_.load(std::memory_order_relaxed);
   stats.repaired_queries = repaired_queries_.load(std::memory_order_relaxed);
   stats.clamped_estimates = clamped_estimates_.load(std::memory_order_relaxed);
   stats.fallback_estimates =

@@ -19,11 +19,11 @@
 // observationally transparent then (bit-identical estimates), which is
 // what lets the guarded sweep keep the parallel runner's determinism
 // contract. Degradations are counted in thread-safe counters for the
-// experiment report.
+// experiment report; a healthy read writes none of them.
 //
-// Thread-safety: EstimateSelectivity/EstimateSelectivityBatch follow the
-// SelectivityEstimator contract (safe for concurrent const calls); the
-// counters are relaxed atomics.
+// Thread-safety: EstimateSelectivity follows the SelectivityEstimator
+// contract (safe for concurrent const calls); the counters are relaxed
+// atomics.
 //
 // BuildGuardedEstimator in est/estimator_factory.h assembles the chain
 // from declarative configs and records why the primary was skipped.
@@ -44,7 +44,6 @@ namespace selest {
 
 // Snapshot of a GuardedEstimator's degradation counters.
 struct GuardedStats {
-  uint64_t queries = 0;             // total estimate calls
   uint64_t repaired_queries = 0;    // NaN bound widened or inverted range swapped
   uint64_t clamped_estimates = 0;   // finite estimate outside [0, 1], clamped
   uint64_t fallback_estimates = 0;  // answered by a non-primary chain link
@@ -112,7 +111,6 @@ class GuardedEstimator : public SelectivityEstimator {
   std::vector<std::unique_ptr<SelectivityEstimator>> chain_;
   Domain domain_;
 
-  mutable std::atomic<uint64_t> queries_{0};
   mutable std::atomic<uint64_t> repaired_queries_{0};
   mutable std::atomic<uint64_t> clamped_estimates_{0};
   mutable std::atomic<uint64_t> fallback_estimates_{0};

@@ -6,6 +6,7 @@
 
 #include "src/est/estimator_snapshot.h"
 #include "src/smoothing/normal_scale.h"
+#include "src/util/simd.h"
 
 namespace selest {
 

@@ -7,6 +7,7 @@
 #include "src/est/estimator_snapshot.h"
 #include "src/util/check.h"
 #include "src/util/numeric.h"
+#include "src/util/simd.h"
 
 namespace selest {
 

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "src/est/estimator_snapshot.h"
-#include "src/util/check.h"
+#include "src/util/simd.h"
 
 namespace selest {
 
@@ -15,34 +15,17 @@ StatusOr<SamplingEstimator> SamplingEstimator::Create(
   if (sample.empty()) {
     return InvalidArgumentError("sampling estimator needs a non-empty sample");
   }
-  AlignedDoubles sorted(sample.begin(), sample.end());
+  std::vector<double> sorted(sample.begin(), sample.end());
   std::sort(sorted.begin(), sorted.end());
   return SamplingEstimator(std::move(sorted));
 }
 
 double SamplingEstimator::EstimateSelectivity(double a, double b) const {
   if (!(a <= b)) return 0.0;  // inverted range or a NaN bound
-  // Branch-free searches: same indices as std::lower_bound/std::upper_bound
-  // and the structure the vector block kernel replays.
+  // Branch-free searches: same indices as std::lower_bound/std::upper_bound.
   const size_t lo = BranchFreeLowerBound(sorted_.data(), sorted_.size(), a);
   const size_t hi = BranchFreeUpperBound(sorted_.data(), sorted_.size(), b);
   return static_cast<double>(hi - lo) / static_cast<double>(sorted_.size());
-}
-
-void SamplingEstimator::EstimateSelectivityBatch(
-    std::span<const RangeQuery> queries, std::span<double> out) const {
-  SELEST_CHECK_EQ(queries.size(), out.size());
-  const SimdOps* ops = ActiveSimdOps();
-  if (ops == nullptr) {
-    SelectivityEstimator::EstimateSelectivityBatch(queries, out);
-    return;
-  }
-  BatchWithBlocks(queries, out, ops->width,
-                  [this, ops](const double* a, const double* b, double* r) {
-                    ops->sorted_count_block(
-                        sorted_.data(), static_cast<int64_t>(sorted_.size()),
-                        a, b, r);
-                  });
 }
 
 size_t SamplingEstimator::StorageBytes() const {
@@ -55,7 +38,7 @@ Status SamplingEstimator::MergeFrom(const SelectivityEstimator& other) {
     return FailedPreconditionError("cannot merge " + other.name() +
                                    " into a sampling estimator");
   }
-  AlignedDoubles merged;
+  std::vector<double> merged;
   merged.reserve(sorted_.size() + peer->sorted_.size());
   std::merge(sorted_.begin(), sorted_.end(), peer->sorted_.begin(),
              peer->sorted_.end(), std::back_inserter(merged));
@@ -90,7 +73,7 @@ StatusOr<SamplingEstimator> SamplingEstimator::DeserializeState(
   if (!std::is_sorted(sorted.begin(), sorted.end())) {
     return InvalidArgumentError("sampling snapshot sample is not sorted");
   }
-  return SamplingEstimator(AlignedDoubles(sorted.begin(), sorted.end()));
+  return SamplingEstimator(std::move(sorted));
 }
 
 }  // namespace selest

@@ -7,6 +7,7 @@
 #define SELEST_EST_SAMPLING_ESTIMATOR_H_
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/est/selectivity_estimator.h"
@@ -20,10 +21,6 @@ class SamplingEstimator : public SelectivityEstimator {
   static StatusOr<SamplingEstimator> Create(std::span<const double> sample);
 
   double EstimateSelectivity(double a, double b) const override;
-  // The vector block kernel of the active SIMD tier (util/simd.h), or the
-  // base per-query loop on the scalar tier, on the calling thread.
-  void EstimateSelectivityBatch(std::span<const RangeQuery> queries,
-                                std::span<double> out) const override;
   size_t StorageBytes() const override;
   std::string name() const override { return "sampling"; }
 
@@ -43,12 +40,10 @@ class SamplingEstimator : public SelectivityEstimator {
   Status FoldRows(std::span<const double> rows) override;
 
  private:
-  explicit SamplingEstimator(AlignedDoubles sorted)
+  explicit SamplingEstimator(std::vector<double> sorted)
       : sorted_(std::move(sorted)) {}
 
-  // Contiguous 64-byte-aligned sorted sample (SoA hot state for the
-  // vector batch kernels; DESIGN.md §12).
-  AlignedDoubles sorted_;
+  std::vector<double> sorted_;
 };
 
 }  // namespace selest

@@ -5,14 +5,13 @@
 // The instance result size is estimated as N · σ̂(a, b).
 //
 // Thread-safety contract: after construction, every const member — in
-// particular EstimateSelectivity and EstimateSelectivityBatch — must be
-// safe to call concurrently from multiple threads. Implementations must
-// not hide mutable caches or lazy initialization behind const methods;
-// the parallel experiment runner (eval/parallel_experiment.h) calls into
-// one estimator instance from many threads at once, and the tsan CMake
-// preset exists to enforce this. Estimators never fan work out
-// themselves: a batch runs on the thread that calls it, and only the
-// eval layer schedules work across threads.
+// particular EstimateSelectivity — must be safe to call concurrently from
+// multiple threads. Implementations must not hide mutable caches or lazy
+// initialization behind const methods; the parallel experiment runner
+// (eval/parallel_experiment.h) calls into one estimator instance from
+// many threads at once, and the tsan CMake preset exists to enforce this.
+// Estimators never fan work out themselves: only the eval layer schedules
+// work across threads.
 #ifndef SELEST_EST_SELECTIVITY_ESTIMATOR_H_
 #define SELEST_EST_SELECTIVITY_ESTIMATOR_H_
 
@@ -23,7 +22,6 @@
 
 #include "src/query/range_query.h"
 #include "src/util/serialize.h"
-#include "src/util/simd.h"
 #include "src/util/status.h"
 
 namespace selest {
@@ -63,13 +61,11 @@ class SelectivityEstimator {
     return EstimateSelectivity(q.a, q.b);
   }
 
-  // Estimates every query into `out` (same size as `queries`). Each out[i]
-  // is exactly the value EstimateSelectivity(queries[i]) returns — batching
-  // changes the evaluation cost, never the result. Runs entirely on the
-  // calling thread. The default is a per-query loop; the one estimator with
-  // a vector kernel (sampling) overrides it with BatchWithBlocks.
-  virtual void EstimateSelectivityBatch(std::span<const RangeQuery> queries,
-                                        std::span<double> out) const;
+  // Estimates every query into `out` (same size as `queries`): out[i] =
+  // EstimateSelectivity(queries[i]), one call per query on the calling
+  // thread. Not virtual — an estimator has one read path.
+  void EstimateSelectivityBatch(std::span<const RangeQuery> queries,
+                                std::span<double> out) const;
 
   // Estimated result size for a relation of `num_records` records.
   double EstimateResultSize(const RangeQuery& q, size_t num_records) const {
@@ -141,35 +137,6 @@ class SelectivityEstimator {
   virtual Status ObserveTrueSelectivity(const RangeQuery& query,
                                         double true_selectivity);
   virtual uint64_t feedback_observations() const { return 0; }
-
- protected:
-  // Vector-tier body: processes `queries` in order, `width` queries at a
-  // time through `block(a, b, r)` (width-long kSimdAlign-aligned arrays),
-  // which must write exactly EstimateSelectivity's value for every lane.
-  // Partial tails are padded by replicating their last query: block lanes
-  // are independent, so padding never perturbs a real lane.
-  template <typename BlockFn>
-  void BatchWithBlocks(std::span<const RangeQuery> queries,
-                       std::span<double> out, int width,
-                       BlockFn&& block) const {
-    alignas(kSimdAlign) double a[kMaxSimdWidth];
-    alignas(kSimdAlign) double b[kMaxSimdWidth];
-    alignas(kSimdAlign) double r[kMaxSimdWidth];
-    const size_t w = static_cast<size_t>(width);
-    for (size_t i = 0; i < queries.size(); i += w) {
-      const size_t m = queries.size() - i < w ? queries.size() - i : w;
-      for (size_t k = 0; k < m; ++k) {
-        a[k] = queries[i + k].a;
-        b[k] = queries[i + k].b;
-      }
-      for (size_t k = m; k < w; ++k) {
-        a[k] = a[m - 1];
-        b[k] = b[m - 1];
-      }
-      block(a, b, r);
-      for (size_t k = 0; k < m; ++k) out[i + k] = r[k];
-    }
-  }
 };
 
 }  // namespace selest

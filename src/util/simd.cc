@@ -19,7 +19,7 @@ const SimdOps* GetOps();
 namespace {
 
 // Tier override installed by ScopedSimdTier; -1 = none. A relaxed atomic
-// is enough: the contract forbids flipping tiers while a batch is in
+// is enough: the contract forbids flipping tiers while a build is in
 // flight, so this only has to be data-race-free, not ordering anything.
 std::atomic<int> g_tier_override{-1};
 

@@ -1,72 +1,32 @@
-// Portable SIMD shim: runtime-dispatched batch kernels for the estimator
-// hot paths (DESIGN.md §12).
+// Portable SIMD shim: the branch-free searches the read paths share,
+// and the runtime-dispatched ψ̂ pair-sum kernel behind the h-DPI rules
+// (DESIGN.md §12).
 //
-// One binary serves any host: the vector kernels are compiled into
-// per-ISA translation units (util/simd_avx2.cc at 4 lanes,
-// util/simd_avx512.cc at 8 lanes, both from util/simd_kernels.inc.h) and
-// selected once at runtime from CPUID. The scalar tier has no kernel
-// table at all — callers fall back to their existing per-query scalar
-// code, which keeps exactly one source of truth for the reference
-// semantics.
+// One binary serves any host: the vector kernel is compiled into per-ISA
+// translation units (util/simd_avx2.cc at 4 lanes, util/simd_avx512.cc at
+// 8 lanes, both from util/simd_kernels.inc.h) and selected once at
+// runtime from CPUID. The scalar tier has no kernel table at all — the
+// caller falls back to its scalar reference code, which keeps exactly one
+// source of truth for the reference semantics.
 //
-// Exactness policy (tested by est_simd_identity_test): every vector
-// kernel is *bit-identical* to the scalar path. The kernels batch one
-// query per SIMD lane and replay the scalar code's floating-point
-// operations in the same order within each lane; data-dependent scalar
-// branches become lane blends whose discarded side never feeds the
-// accumulator (x + 0.0 == x for the non-negative finite partial sums
-// involved). The per-ISA TUs are compiled with -ffp-contract=off so no
-// tier ever fuses a multiply-add the baseline scalar build would not.
-// kSimdUlpTolerance documents the contract and is asserted at 0.
+// Exactness policy (tested by smoothing_psi_kernel_test): the vector
+// kernel is *bit-identical* to the scalar reference. It evaluates the
+// reference's floating-point operations in the same order within each
+// lane, and a padded lane contributes exactly 0.0. The per-ISA TUs are
+// compiled with -ffp-contract=off so no tier ever fuses a multiply-add the
+// baseline scalar build would not. kSimdUlpTolerance documents the
+// contract and is asserted at 0.
 #ifndef SELEST_UTIL_SIMD_H_
 #define SELEST_UTIL_SIMD_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <new>
-#include <vector>
 
 namespace selest {
 
-// The batch kernels are exact, not merely close: the identity suite
-// compares them to the scalar path with EXPECT_EQ, i.e. a 0-ULP bound.
+// The vector kernel is exact, not merely close: its tier tests compare it
+// to the scalar reference with EXPECT_EQ, i.e. a 0-ULP bound.
 inline constexpr int kSimdUlpTolerance = 0;
-
-// ---------------------------------------------------------------------------
-// Aligned storage for struct-of-arrays hot state.
-// ---------------------------------------------------------------------------
-
-// Vector-kernel state (the sampling estimator's sorted sample, per-block
-// query staging) is kept on cache-line boundaries so a vector block never
-// straddles more lines than it must.
-inline constexpr size_t kSimdAlign = 64;
-
-template <typename T>
-struct AlignedAllocator {
-  using value_type = T;
-
-  AlignedAllocator() = default;
-  template <typename U>
-  AlignedAllocator(const AlignedAllocator<U>&) {}  // NOLINT(runtime/explicit)
-
-  T* allocate(size_t n) {
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t(kSimdAlign)));
-  }
-  void deallocate(T* p, size_t) {
-    ::operator delete(p, std::align_val_t(kSimdAlign));
-  }
-
-  template <typename U>
-  bool operator==(const AlignedAllocator<U>&) const {
-    return true;
-  }
-};
-
-template <typename T>
-using AlignedVector = std::vector<T, AlignedAllocator<T>>;
-// The SoA workhorse: a contiguous, 64-byte-aligned strip of doubles.
-using AlignedDoubles = AlignedVector<double>;
 
 // ---------------------------------------------------------------------------
 // Branch-free four-way binary search.
@@ -123,11 +83,8 @@ inline size_t BranchFreeUpperBound(const double* data, size_t n, double key) {
 }
 
 // ---------------------------------------------------------------------------
-// The dispatched block kernels.
+// The dispatched kernel.
 // ---------------------------------------------------------------------------
-
-// Widest tier; block staging buffers are sized for it.
-inline constexpr int kMaxSimdWidth = 8;
 
 // The ψ̂ pair-sum kernel behind the direct plug-in rule (DESIGN.md §2).
 // The scalar reference (EstimatePsiFunctional in smoothing/
@@ -169,21 +126,13 @@ inline constexpr double kExpTaylor[12] = {
     1.0 / 39916800.0, 1.0 / 479001600.0, 1.0 / 6227020800.0,
 };
 
-// One table per vector tier. Every function processes exactly `width`
-// queries (a/b/out are width-long, kSimdAlign-aligned); callers pad the
-// final partial block by replicating its last query — lanes are
-// independent, so padding never changes a real lane's bits.
+// One table per vector tier; `width` is the tier's lanes per vector.
 struct SimdOps {
   int width = 0;
 
-  // SamplingEstimator::EstimateSelectivity for one block: two vectorized
-  // branch-free searches per lane.
-  void (*sorted_count_block)(const double* sorted, int64_t n, const double* a,
-                             const double* b, double* out);
-
   // The kPsiLanes partial sums of the ψ̂ pair sum over x[0, n) for
-  // s ∈ {2, 4, 6, 8} (contract above); x needs no alignment. Unlike the
-  // per-query blocks, one call covers the whole sample.
+  // s ∈ {2, 4, 6, 8} (contract above); x needs no alignment. One call
+  // covers the whole sample.
   void (*psi_pair_sums)(const double* x, int64_t n, double inv_g, int s,
                         double* lanes);
 };
@@ -203,23 +152,24 @@ const char* SimdTierName(SimdTier tier);
 // True when this host can execute `tier` (kScalar is always supported).
 bool SimdTierSupported(SimdTier tier);
 
-// The tier batch paths use right now: the best supported tier, capped by
-// the SELEST_SIMD environment variable ("scalar", "avx2", "avx512";
+// The tier the ψ̂ kernel uses right now: the best supported tier, capped
+// by the SELEST_SIMD environment variable ("scalar", "avx2", "avx512";
 // detected once) and by any active ScopedSimdTier override.
 SimdTier ActiveSimdTier();
 
 // The kernel table for the active tier, or nullptr for the scalar tier
-// (callers then run their per-query scalar code). Thread-safe.
+// (the caller then runs its scalar reference). Thread-safe.
 const SimdOps* ActiveSimdOps();
 
 // The table for one specific tier (nullptr for kScalar or an unsupported
-// tier); used by the identity tests and the speedup benches.
+// tier); used by the tier tests and the speedup bench.
 const SimdOps* SimdOpsForTier(SimdTier tier);
 
 // Scoped tier override for tests and benchmarks. The override is
-// process-wide: it takes effect for batch calls issued after construction
-// on any thread, including the eval layer's pool workers; do not change
-// tiers while a batch is in flight. Requires SimdTierSupported(tier).
+// process-wide: it takes effect for kernel calls issued after
+// construction on any thread, including the eval layer's pool workers; do
+// not change tiers while a build is in flight. Requires
+// SimdTierSupported(tier).
 class ScopedSimdTier {
  public:
   explicit ScopedSimdTier(SimdTier tier);

@@ -74,9 +74,7 @@ TEST(GuardedEstimatorTest, TransparentForHealthyPrimary) {
     EXPECT_EQ(chain.EstimateSelectivity(a, b),
               raw.value()->EstimateSelectivity(a, b));
   }
-  const GuardedStats stats = chain.stats();
-  EXPECT_GT(stats.queries, 0u);
-  EXPECT_FALSE(stats.degraded());
+  EXPECT_FALSE(chain.stats().degraded());
 }
 
 TEST(GuardedEstimatorTest, RepairsNanAndInvertedQueries) {
@@ -88,7 +86,6 @@ TEST(GuardedEstimatorTest, RepairsNanAndInvertedQueries) {
   EXPECT_EQ(guarded->EstimateSelectivity(8.0, 2.0), 0.25);  // inverted
   EXPECT_EQ(guarded->EstimateSelectivity(-kInf, kInf), 0.25);
   EXPECT_EQ(guarded->stats().repaired_queries, 4u);  // ±inf clamp is not a repair
-  EXPECT_EQ(guarded->stats().queries, 5u);
 }
 
 TEST(GuardedEstimatorTest, ClampsOutOfRangeEstimates) {

@@ -1,21 +1,27 @@
 // Property/metamorphic suite over every factory-constructible estimator:
 //
-//   * σ̂(a, b) ∈ [0, 1] for arbitrary queries;
+//   * σ̂(a, b) ∈ [0, 1] for arbitrary queries, including inverted, point,
+//     out-of-domain and non-finite ones, for the three query-driven
+//     learners too;
 //   * σ̂(a, b) is non-decreasing in b (monotonicity);
 //   * σ̂(a, m) + σ̂(m, b) ≈ σ̂(a, b) for histogram estimators (additivity
 //     of the bin-mass integral);
 //   * EstimateSelectivityBatch ≡ per-query EstimateSelectivity,
-//     element-wise and exactly (the batch API's core contract);
+//     element-wise and bit for bit, over the same queries;
 //   * a batch runs on its calling thread and never waits for the shared
 //     pool (only the eval layer fans work out).
 #include "src/est/estimator_factory.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -65,6 +71,76 @@ std::vector<RangeQuery> RandomQueries(size_t n, uint64_t seed) {
   return queries;
 }
 
+// Every query shape the read paths treat specially, in rotation:
+// inverted, point, narrow, whole-domain and boundary-hugging ranges and
+// ranges partly outside the domain; then NaN, infinite and huge bounds.
+std::vector<RangeQuery> AdversarialQueries(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<RangeQuery> queries(n);
+  const double lo = kDomain.lo, w = kDomain.width();
+  for (size_t i = 0; i < n; ++i) {
+    const double x = lo + w * (1.4 * rng.NextDouble() - 0.2);
+    const double y = lo + w * (1.4 * rng.NextDouble() - 0.2);
+    RangeQuery& q = queries[i];
+    switch (i % 8) {
+      case 0:  // regular (possibly partially out of domain)
+        q = {std::min(x, y), std::max(x, y)};
+        break;
+      case 1:  // inverted: a > b
+        q = {std::max(x, y) + 1.0, std::min(x, y)};
+        break;
+      case 2:  // degenerate point query
+        q = {x, x};
+        break;
+      case 3:  // narrow: inside one kernel support or one bin
+        q = {x, x + 1e-3 * w * rng.NextDouble()};
+        break;
+      case 4:  // covers the whole domain
+        q = {lo - w, lo + 2.0 * w};
+        break;
+      case 5:  // hugs the left boundary strip
+        q = {lo - 0.1 * w, lo + 0.05 * w * rng.NextDouble()};
+        break;
+      case 6:  // hugs the right boundary strip
+        q = {lo + w * (1.0 - 0.05 * rng.NextDouble()), lo + 1.1 * w};
+        break;
+      default:  // regular, in-domain
+        q = {lo + 0.9 * w * std::min(rng.NextDouble(), rng.NextDouble()),
+             lo + 0.9 * w * std::max(rng.NextDouble(), rng.NextDouble())};
+        break;
+    }
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  queries.insert(queries.end(),
+                 {{nan, 50.0}, {10.0, nan}, {-inf, 50.0}, {10.0, inf},
+                  {-inf, inf}, {-inf, -inf}, {inf, inf}, {-1e308, 1e308}});
+  return queries;
+}
+
+void ExpectInUnitInterval(const SelectivityEstimator& est,
+                          std::span<const RangeQuery> queries) {
+  for (const RangeQuery& q : queries) {
+    const double s = est.EstimateSelectivity(q.a, q.b);
+    EXPECT_GE(s, 0.0) << est.name() << " on [" << q.a << ", " << q.b << "]";
+    EXPECT_LE(s, 1.0) << est.name() << " on [" << q.a << ", " << q.b << "]";
+  }
+}
+
+void ExpectBatchMatchesPerQuery(const SelectivityEstimator& est,
+                                std::span<const RangeQuery> queries) {
+  std::vector<double> batch(queries.size());
+  est.EstimateSelectivityBatch(queries, batch);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const double single = est.EstimateSelectivity(queries[i]);
+    // Bitwise: batching must never change a value, not even a zero's sign.
+    EXPECT_EQ(std::bit_cast<uint64_t>(batch[i]),
+              std::bit_cast<uint64_t>(single))
+        << est.name() << " query " << i << " [" << queries[i].a << ", "
+        << queries[i].b << "] batch=" << batch[i] << " single=" << single;
+  }
+}
+
 const EstimatorKind kAllKinds[] = {
     EstimatorKind::kSampling,   EstimatorKind::kUniform,
     EstimatorKind::kEquiWidth,  EstimatorKind::kEquiDepth,
@@ -111,11 +187,8 @@ class EstimatorPropertyTest : public ::testing::TestWithParam<EstimatorKind> {};
 TEST_P(EstimatorPropertyTest, SelectivityStaysInUnitInterval) {
   const auto est = Build(GetParam());
   ASSERT_NE(est, nullptr);
-  for (const RangeQuery& q : RandomQueries(300, 1)) {
-    const double s = est->EstimateSelectivity(q.a, q.b);
-    EXPECT_GE(s, 0.0) << est->name() << " on [" << q.a << ", " << q.b << "]";
-    EXPECT_LE(s, 1.0) << est->name() << " on [" << q.a << ", " << q.b << "]";
-  }
+  ExpectInUnitInterval(*est, RandomQueries(300, 1));
+  ExpectInUnitInterval(*est, AdversarialQueries(4096, 7));
 }
 
 TEST_P(EstimatorPropertyTest, MonotoneInUpperBound) {
@@ -161,22 +234,53 @@ TEST_P(EstimatorPropertyTest, HistogramSelectivityIsAdditive) {
 TEST_P(EstimatorPropertyTest, BatchMatchesPerQueryExactly) {
   const auto est = Build(GetParam());
   ASSERT_NE(est, nullptr);
-  const auto queries = RandomQueries(500, 4);
-  std::vector<double> batch(queries.size());
-  est->EstimateSelectivityBatch(queries, batch);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const double single = est->EstimateSelectivity(queries[i]);
-    // Exact equality: batching must never change a value.
-    EXPECT_EQ(batch[i], single)
-        << est->name() << " query " << i << " [" << queries[i].a << ", "
-        << queries[i].b << "]";
-  }
+  ExpectBatchMatchesPerQuery(*est, RandomQueries(500, 4));
+  ExpectBatchMatchesPerQuery(*est, AdversarialQueries(4096, 8));
 }
 
 TEST_P(EstimatorPropertyTest, BatchHandlesEmptySpan) {
   const auto est = Build(GetParam());
   ASSERT_NE(est, nullptr);
   est->EstimateSelectivityBatch({}, {});  // must be a no-op, not a crash
+}
+
+// The three query-driven learners, after some feedback so that they no
+// longer answer from their prior alone.
+const EstimatorKind kLearnerKinds[] = {
+    EstimatorKind::kFeedback,
+    EstimatorKind::kReconstructed,
+    EstimatorKind::kOnlineLearning,
+};
+
+std::unique_ptr<SelectivityEstimator> BuildLearner(EstimatorKind kind) {
+  auto learner = Build(kind);
+  if (learner == nullptr) return nullptr;
+  for (const RangeQuery& q : RandomQueries(16, 5)) {
+    const Status status = learner->ObserveTrueSelectivity(
+        q, 0.5 * (q.b - q.a) / kDomain.width());
+    if (!status.ok()) {
+      ADD_FAILURE() << learner->name()
+                    << " rejected feedback: " << status.ToString();
+      return nullptr;
+    }
+  }
+  return learner;
+}
+
+class LearnerPropertyTest : public ::testing::TestWithParam<EstimatorKind> {};
+
+TEST_P(LearnerPropertyTest, SelectivityStaysInUnitInterval) {
+  const auto est = BuildLearner(GetParam());
+  ASSERT_NE(est, nullptr);
+  ExpectInUnitInterval(*est, RandomQueries(300, 1));
+  ExpectInUnitInterval(*est, AdversarialQueries(4096, 7));
+}
+
+TEST_P(LearnerPropertyTest, BatchMatchesPerQueryExactly) {
+  const auto est = BuildLearner(GetParam());
+  ASSERT_NE(est, nullptr);
+  ExpectBatchMatchesPerQuery(*est, RandomQueries(500, 4));
+  ExpectBatchMatchesPerQuery(*est, AdversarialQueries(4096, 8));
 }
 
 // Parks every worker of a pool until Release(), so any work scheduled on
@@ -227,17 +331,8 @@ TEST(BatchOnCallingThreadTest, BatchesFinishWhileEveryPoolWorkerIsHeld) {
   // guarded chain.
   std::vector<std::unique_ptr<SelectivityEstimator>> estimators;
   for (EstimatorKind kind : kAllKinds) estimators.push_back(Build(kind));
-  for (EstimatorKind kind :
-       {EstimatorKind::kFeedback, EstimatorKind::kReconstructed,
-        EstimatorKind::kOnlineLearning}) {
-    auto learner = Build(kind);
-    ASSERT_NE(learner, nullptr);
-    for (const RangeQuery& q : RandomQueries(16, 5)) {
-      ASSERT_TRUE(learner->ObserveTrueSelectivity(q, 0.5 * (q.b - q.a) /
-                                                         kDomain.width())
-                      .ok());
-    }
-    estimators.push_back(std::move(learner));
+  for (EstimatorKind kind : kLearnerKinds) {
+    estimators.push_back(BuildLearner(kind));
   }
   EstimatorConfig hybrid;
   hybrid.kind = EstimatorKind::kHybrid;
@@ -271,15 +366,18 @@ TEST(BatchOnCallingThreadTest, BatchesFinishWhileEveryPoolWorkerIsHeld) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllKinds, EstimatorPropertyTest, ::testing::ValuesIn(kAllKinds),
-    [](const ::testing::TestParamInfo<EstimatorKind>& info) {
-      std::string name = EstimatorKindName(info.param);
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+std::string KindTestName(const ::testing::TestParamInfo<EstimatorKind>& info) {
+  std::string name = EstimatorKindName(info.param);
+  for (char& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, EstimatorPropertyTest,
+                         ::testing::ValuesIn(kAllKinds), KindTestName);
+INSTANTIATE_TEST_SUITE_P(AllLearners, LearnerPropertyTest,
+                         ::testing::ValuesIn(kLearnerKinds), KindTestName);
 
 }  // namespace
 }  // namespace selest

@@ -6,7 +6,6 @@
 //   * so do CellDirectory's LowerBound/UpperBound, over key sets that
 //     stress its cell arithmetic (tiny, subnormal, huge and infinite
 //     spans), queried at ±inf, NaN, every key and both its neighbours;
-//   * AlignedVector storage really is kSimdAlign-aligned;
 //   * tier detection, the SELEST_SIMD-independent tier tables, and the
 //     ScopedSimdTier override stack behave as documented;
 //   * the exactness policy constant is pinned at 0 ULP.
@@ -231,17 +230,9 @@ TEST(CellDirectoryTest, DegenerateKeySetsSearchOneCell) {
   EXPECT_EQ(CellDirectory(even).num_cells(), even.size());
 }
 
-TEST(AlignedVectorTest, DataIsCacheLineAligned) {
-  for (size_t n : {1u, 3u, 7u, 64u, 1000u}) {
-    AlignedDoubles v(n, 0.0);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(v.data()) % kSimdAlign, 0u)
-        << "n=" << n;
-  }
-}
-
 TEST(SimdDispatchTest, ExactnessPolicyIsBitIdentity) {
-  // The identity suite (est_simd_identity_test) compares with EXPECT_EQ;
-  // this constant documents — and pins — that the bound is 0 ULP.
+  // The ψ̂ kernel's tier tests (smoothing_psi_kernel_test) compare with
+  // EXPECT_EQ; this constant documents — and pins — that the bound is 0 ULP.
   EXPECT_EQ(kSimdUlpTolerance, 0);
 }
 
@@ -265,11 +256,11 @@ TEST(SimdDispatchTest, ActiveTierIsSupportedAndConsistent) {
 TEST(SimdDispatchTest, VectorTiersHaveDocumentedWidths) {
   if (const SimdOps* avx2 = SimdOpsForTier(SimdTier::kAvx2)) {
     EXPECT_EQ(avx2->width, 4);
-    EXPECT_NE(avx2->sorted_count_block, nullptr);
+    EXPECT_NE(avx2->psi_pair_sums, nullptr);
   }
   if (const SimdOps* avx512 = SimdOpsForTier(SimdTier::kAvx512)) {
     EXPECT_EQ(avx512->width, 8);
-    EXPECT_LE(avx512->width, kMaxSimdWidth);
+    EXPECT_NE(avx512->psi_pair_sums, nullptr);
   }
 }
 

@@ -41,8 +41,8 @@ large values, the additive slack absorbs jitter near zero.
 A row that errored in the new file (`error_occurred`, which
 google-benchmark sets through SkipWithError) fails the diff and prints
 its `error_message`: it measured nothing, so it cannot count as a pass.
-bench_perf_server reports a failed background refresh this way, and the
-batch benches an unsupported SIMD tier. A row that errored only in the
+bench_perf_server reports a failed background refresh this way, and
+BM_PsiFunctional an unsupported SIMD tier. A row that errored only in the
 old file is listed, and a clean new row of that name shows as added.
 
 A missing or empty baseline is not a failure: the first run of a new
